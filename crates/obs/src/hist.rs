@@ -1,5 +1,5 @@
-//! A bucket-keyed, sample-retaining histogram for exact summary
-//! statistics.
+//! A bucket-keyed histogram for exact summary statistics in bounded
+//! memory.
 //!
 //! [`Histogram`](crate::metrics::Histogram) trades precision for
 //! constant memory; some consumers — the paper's Table 4 response
@@ -7,7 +7,18 @@
 //! deviation, and median, which requires keeping the samples.
 //! [`SampleHistogram`] buckets each observation by an integer key
 //! (e.g. report size in bytes) into half-open `[lo, hi)` ranges and
-//! retains every sample value for later summarisation.
+//! retains the sample values for later summarisation — every one of
+//! them up to [`SAMPLE_CAP`] per bucket, a fixed-size uniform sample
+//! of them beyond it, so a long-running depot's statistics stop
+//! growing by 8 bytes per report.
+
+/// Most samples one bucket retains. Up to here every summary field is
+/// computed from the full sample set; past it count, mean, standard
+/// deviation, min and max stay exact (streamed) and the median comes
+/// from a uniform reservoir of this size. Chosen above the paper's
+/// whole observation week (151,955 reports, §5.2.1), so Table 4 is
+/// reproduced from complete samples; 2 MiB per bucket at the cap.
+pub const SAMPLE_CAP: usize = 1 << 18;
 
 /// Exact summary statistics for one bucket of a [`SampleHistogram`].
 #[derive(Debug, Clone, PartialEq)]
@@ -26,11 +37,55 @@ pub struct BucketSummary {
     /// Largest sample value.
     pub max: f64,
     /// Median; for even counts, the midpoint of the two middle values.
+    /// Past [`SAMPLE_CAP`] samples, the median of the reservoir.
     pub median: f64,
 }
 
+/// One bucket's retained samples and streamed moments.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Bucket {
+    /// Every sample in arrival order while `count <= SAMPLE_CAP`;
+    /// afterwards a uniform reservoir (Vitter's algorithm R).
+    samples: Vec<f64>,
+    count: usize,
+    /// Welford running mean and sum of squared deviations.
+    mean: f64,
+    m2: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Bucket {
+    fn record(&mut self, value: f64) {
+        if self.count == 0 {
+            (self.min, self.max) = (value, value);
+        } else {
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+        }
+        self.count += 1;
+        let delta = value - self.mean;
+        self.mean += delta / self.count as f64;
+        self.m2 += delta * (value - self.mean);
+        if self.samples.len() < SAMPLE_CAP {
+            self.samples.push(value);
+            return;
+        }
+        // The n-th sample replaces a uniformly chosen slot with
+        // probability SAMPLE_CAP / n. The draw is SplitMix64 of n, so
+        // the reservoir is a pure function of the recorded sequence.
+        let mut z = (self.count as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        let slot = ((z ^ (z >> 31)) % self.count as u64) as usize;
+        if slot < SAMPLE_CAP {
+            self.samples[slot] = value;
+        }
+    }
+}
+
 /// Buckets `f64` samples by an integer key into fixed half-open
-/// ranges, retaining every sample.
+/// ranges, retaining up to [`SAMPLE_CAP`] samples per bucket.
 ///
 /// Keys at or past the last bucket's upper bound are counted as
 /// overflow rather than bucketed (the paper's Table 4 likewise leaves
@@ -38,7 +93,7 @@ pub struct BucketSummary {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SampleHistogram {
     bounds: Vec<(usize, usize)>,
-    samples: Vec<Vec<f64>>,
+    buckets: Vec<Bucket>,
     overflow: usize,
 }
 
@@ -60,7 +115,7 @@ impl SampleHistogram {
         );
         SampleHistogram {
             bounds: bounds.to_vec(),
-            samples: vec![Vec::new(); bounds.len()],
+            buckets: vec![Bucket::default(); bounds.len()],
             overflow: 0,
         }
     }
@@ -82,7 +137,7 @@ impl SampleHistogram {
     pub fn record(&mut self, key: usize, value: f64) -> Option<usize> {
         match self.bucket_index(key) {
             Some(i) => {
-                self.samples[i].push(value);
+                self.buckets[i].record(value);
                 Some(i)
             }
             None => {
@@ -92,14 +147,16 @@ impl SampleHistogram {
         }
     }
 
-    /// Number of samples in bucket `i` (0 for out-of-range `i`).
+    /// Number of samples recorded in bucket `i` (0 for out-of-range
+    /// `i`).
     pub fn bucket_len(&self, i: usize) -> usize {
-        self.samples.get(i).map_or(0, Vec::len)
+        self.buckets.get(i).map_or(0, |b| b.count)
     }
 
-    /// The retained samples of bucket `i`, in arrival order.
+    /// The retained samples of bucket `i`: all of them, in arrival
+    /// order, up to [`SAMPLE_CAP`]; a uniform sample of them beyond.
     pub fn samples(&self, i: usize) -> &[f64] {
-        self.samples.get(i).map_or(&[], Vec::as_slice)
+        self.buckets.get(i).map_or(&[], |b| b.samples.as_slice())
     }
 
     /// Keys recorded outside every bucket.
@@ -109,33 +166,42 @@ impl SampleHistogram {
 
     /// Total samples recorded, including overflowed ones.
     pub fn total_recorded(&self) -> usize {
-        self.overflow + self.samples.iter().map(Vec::len).sum::<usize>()
+        self.overflow + self.buckets.iter().map(|b| b.count).sum::<usize>()
     }
 
-    /// Exact statistics for bucket `i`, or `None` if it has no
-    /// samples.
+    /// Statistics for bucket `i`, or `None` if it has no samples.
     pub fn summary(&self, i: usize) -> Option<BucketSummary> {
-        let samples = self.samples.get(i)?;
-        if samples.is_empty() {
+        let bucket = self.buckets.get(i)?;
+        if bucket.count == 0 {
             return None;
         }
-        let count = samples.len();
-        let mean = samples.iter().sum::<f64>() / count as f64;
-        let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / count as f64;
-        let mut sorted = samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-        let median = if count % 2 == 1 {
-            sorted[count / 2]
+        let count = bucket.count;
+        // While every sample is retained, mean and deviation are the
+        // two-pass values over them — what an unbounded histogram
+        // computes, bit for bit; the streamed moments take over only
+        // once samples have been discarded.
+        let (mean, var) = if count == bucket.samples.len() {
+            let mean = bucket.samples.iter().sum::<f64>() / count as f64;
+            let squares: f64 = bucket.samples.iter().map(|s| (s - mean).powi(2)).sum();
+            (mean, squares / count as f64)
         } else {
-            (sorted[count / 2 - 1] + sorted[count / 2]) / 2.0
+            (bucket.mean, bucket.m2 / count as f64)
+        };
+        let mut sorted = bucket.samples.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+        let retained = sorted.len();
+        let median = if retained % 2 == 1 {
+            sorted[retained / 2]
+        } else {
+            (sorted[retained / 2 - 1] + sorted[retained / 2]) / 2.0
         };
         Some(BucketSummary {
             bucket: self.bounds[i],
             count,
             mean,
             std_dev: var.sqrt(),
-            min: sorted[0],
-            max: sorted[count - 1],
+            min: bucket.min,
+            max: bucket.max,
             median,
         })
     }
@@ -147,11 +213,7 @@ impl SampleHistogram {
 
     /// `(bucket, count)` for every bucket, including empty ones.
     pub fn counts(&self) -> Vec<((usize, usize), usize)> {
-        self.bounds
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (b, self.samples[i].len()))
-            .collect()
+        self.bounds.iter().zip(&self.buckets).map(|(&b, bucket)| (b, bucket.count)).collect()
     }
 
     /// Number of bucketed samples whose bucket lies entirely below
@@ -159,9 +221,9 @@ impl SampleHistogram {
     pub fn bucketed_below(&self, threshold: usize) -> usize {
         self.bounds
             .iter()
-            .enumerate()
-            .filter(|(_, &(_, hi))| hi <= threshold)
-            .map(|(i, _)| self.samples[i].len())
+            .zip(&self.buckets)
+            .filter(|(&(_, hi), _)| hi <= threshold)
+            .map(|(_, bucket)| bucket.count)
             .sum()
     }
 }
@@ -231,6 +293,87 @@ mod tests {
         );
         assert_eq!(h.bucketed_below(20), 3);
         assert_eq!(h.bucketed_below(10), 1);
+    }
+
+    /// What the histogram computed before it was bounded: every
+    /// sample kept, two-pass moments, midpoint median.
+    fn unbounded_reference(bucket: (usize, usize), samples: &[f64]) -> BucketSummary {
+        let count = samples.len();
+        let mean = samples.iter().sum::<f64>() / count as f64;
+        let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / count as f64;
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let median = if count % 2 == 1 {
+            sorted[count / 2]
+        } else {
+            (sorted[count / 2 - 1] + sorted[count / 2]) / 2.0
+        };
+        BucketSummary {
+            bucket,
+            count,
+            mean,
+            std_dev: var.sqrt(),
+            min: sorted[0],
+            max: sorted[count - 1],
+            median,
+        }
+    }
+
+    /// Skewed response-time-like values in (0, 1], deterministic.
+    fn response_times(n: usize) -> Vec<f64> {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let unit = ((state >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
+                unit * unit * unit
+            })
+            .collect()
+    }
+
+    #[test]
+    fn up_to_the_cap_every_field_equals_the_unbounded_reference() {
+        // The paper's week (151,955 reports) and the cap itself.
+        for n in [1, 2, 151_955, SAMPLE_CAP] {
+            let values = response_times(n);
+            let mut h = buckets();
+            for &v in &values {
+                h.record(5, v);
+            }
+            assert_eq!(h.summary(0).unwrap(), unbounded_reference((0, 10), &values), "n = {n}");
+            assert_eq!(h.samples(0), &values[..], "arrival order kept");
+        }
+    }
+
+    #[test]
+    fn past_the_cap_memory_is_bounded_and_moments_stay_exact() {
+        let n = 3 * SAMPLE_CAP + 17;
+        let values = response_times(n);
+        let mut h = buckets();
+        for &v in &values {
+            h.record(5, v);
+        }
+        assert_eq!(h.samples(0).len(), SAMPLE_CAP, "retained samples stop at the cap");
+        assert_eq!(h.bucket_len(0), n);
+        assert_eq!(h.counts()[0].1, n);
+        assert_eq!(h.bucketed_below(10), n);
+        let got = h.summary(0).unwrap();
+        let want = unbounded_reference((0, 10), &values);
+        assert_eq!((got.count, got.min, got.max), (want.count, want.min, want.max));
+        assert!((got.mean - want.mean).abs() <= 1e-12 * want.mean, "{} vs {}", got.mean, want.mean);
+        assert!((got.std_dev - want.std_dev).abs() <= 1e-9 * want.std_dev);
+        // The reservoir median is an estimate: its rank among all the
+        // samples must sit within 1% of the middle.
+        let rank = values.iter().filter(|&&v| v < got.median).count() as f64 / n as f64;
+        assert!((rank - 0.5).abs() < 0.01, "reservoir median at rank {rank}");
+        // Deterministic: the same sequence gives the same reservoir.
+        let mut again = buckets();
+        for &v in &values {
+            again.record(5, v);
+        }
+        assert_eq!(again, h);
     }
 
     #[test]

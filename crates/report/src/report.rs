@@ -78,31 +78,39 @@ impl Report {
 
     /// Parses and validates a serialized report.
     pub fn parse(xml: &str) -> Result<Report, ReportError> {
-        let root = Element::parse(xml)?;
-        Report::from_element(&root)
+        Report::from_root(Element::parse(xml)?)
     }
 
     /// Builds a report from a parsed `<incaReport>` element.
     pub fn from_element(root: &Element) -> Result<Report, ReportError> {
+        Report::from_root(root.clone())
+    }
+
+    /// Builds a report from an owned `<incaReport>` tree, moving the
+    /// `<body>` subtree — most of a large report — out of it instead
+    /// of copying it.
+    fn from_root(mut root: Element) -> Result<Report, ReportError> {
         if root.name != "incaReport" {
             return Err(ReportError(XmlError::Constraint {
                 message: format!("expected <incaReport>, found <{}>", root.name),
             }));
         }
-        let header_el = root.find_child("header").ok_or_else(|| {
-            ReportError(XmlError::Constraint { message: "report is missing <header>".into() })
-        })?;
-        let footer_el = root.find_child("footer").ok_or_else(|| {
-            ReportError(XmlError::Constraint { message: "report is missing <footer>".into() })
-        })?;
-        let body = match root.find_child("body") {
-            Some(body_el) => Body::new(body_el.clone())?,
+        for section in ["header", "footer"] {
+            if root.find_child(section).is_none() {
+                return Err(ReportError(XmlError::Constraint {
+                    message: format!("report is missing <{section}>"),
+                }));
+            }
+        }
+        let body = match root.find_child_mut("body") {
+            Some(body_el) => Body::new(std::mem::take(body_el))?,
             None => Body::empty(),
         };
+        let section = |name| root.find_child(name).expect("presence checked above");
         Ok(Report {
-            header: Header::from_element(header_el)?,
+            header: Header::from_element(section("header"))?,
             body,
-            footer: Footer::from_element(footer_el)?,
+            footer: Footer::from_element(section("footer"))?,
         })
     }
 

@@ -11,8 +11,11 @@
 //!
 //! [`CentralizedController::submit`] is the transport-independent core
 //! (used directly by the simulation harness); [`serve_tcp`] wraps it in
-//! a thread-per-connection TCP accept loop for live deployments. The
-//! depot sits behind a reader-writer lock: submissions take the write
+//! a thread-per-connection TCP accept loop for live deployments. What
+//! crosses from a front end into the controller is a
+//! [`DecodedSubmission`]: each frame is decoded (and its report
+//! validated) exactly once, where it is received, and admission works
+//! on the decoded message. The depot sits behind a reader-writer lock: submissions take the write
 //! side, while any number of query readers proceed concurrently — an
 //! improvement over the 2004 system, which serialized everything
 //! through its single Perl daemon.
@@ -34,7 +37,7 @@ use inca_obs::{Obs, Severity};
 use inca_report::Timestamp;
 use inca_wire::envelope::{Envelope, EnvelopeMode};
 use inca_wire::frame::{read_frame, write_frame, FrameError};
-use inca_wire::message::{ClientMessage, ServerResponse};
+use inca_wire::message::{ClientMessage, ServerResponse, WireError};
 use inca_wire::HostAllowlist;
 
 use crate::dedup::DedupIndex;
@@ -92,7 +95,48 @@ pub struct CentralizedController {
     duplicates: Arc<Counter>,
 }
 
-/// Outcome of admission: what to do with one framed payload.
+/// One received frame, decoded, on its way into admission.
+///
+/// This is what crosses the front-end → controller boundary: the
+/// front end decodes each frame once ([`DecodedSubmission::from_frame`])
+/// and drops the frame bytes; the controller admits the decoded
+/// message without looking at the bytes again.
+#[derive(Debug)]
+pub struct DecodedSubmission {
+    /// The host checked against the allowlist.
+    pub peer_host: String,
+    /// The decoded message, or why the frame did not decode. The error
+    /// is admitted too, so it is answered and counted like any other
+    /// refusal — after the allowlist check.
+    pub message: Result<ClientMessage, WireError>,
+    /// Size of the frame payload the message was decoded from.
+    pub payload_len: usize,
+}
+
+impl DecodedSubmission {
+    /// Decodes a frame payload as submitted by `peer_host`.
+    pub fn new(peer_host: impl Into<String>, payload: &[u8]) -> DecodedSubmission {
+        DecodedSubmission {
+            peer_host: peer_host.into(),
+            message: ClientMessage::decode(payload),
+            payload_len: payload.len(),
+        }
+    }
+
+    /// Decodes a frame read off a socket. The socket names no host, so
+    /// the message names its own: [`ClientMessage::allowlist_key`], or
+    /// the empty host for a frame that does not decode.
+    pub fn from_frame(payload: &[u8]) -> DecodedSubmission {
+        let message = ClientMessage::decode(payload);
+        DecodedSubmission {
+            peer_host: message.as_ref().map_or("", ClientMessage::allowlist_key).to_string(),
+            message,
+            payload_len: payload.len(),
+        }
+    }
+}
+
+/// Outcome of admission: what to do with one submission.
 enum Admission {
     /// Envelope bytes for the depot, the open accept span, and the
     /// message's delivery identity (to un-record on depot failure).
@@ -153,28 +197,30 @@ impl CentralizedController {
         &self.obs
     }
 
-    /// Admission for one framed payload — allowlist, decode,
-    /// seq-dedup, and enveloping — shared by
-    /// [`CentralizedController::submit`] and
-    /// [`CentralizedController::submit_batch`]. A fresh admission
-    /// carries the encoded envelope plus the open `controller.accept`
-    /// span (already joined to the message's trace); the caller
-    /// finishes the span once the depot outcome is known, and must
-    /// un-record the delivery identity if the depot fails.
-    fn admit(&self, peer_host: &str, payload: &[u8]) -> Admission {
+    /// Admission for one submission — allowlist, decode outcome,
+    /// seq-dedup, and enveloping — the single routine behind every
+    /// entry point. A fresh admission carries the encoded envelope
+    /// plus the open `controller.accept` span (already joined to the
+    /// message's trace); the caller finishes the span once the depot
+    /// outcome is known, and must un-record the delivery identity if
+    /// the depot fails.
+    fn admit(&self, submission: DecodedSubmission) -> Admission {
+        let DecodedSubmission { peer_host, message, payload_len } = submission;
         let span = self
             .obs
             .span("controller.accept")
-            .field("peer", peer_host)
-            .field("bytes", payload.len());
-        if !self.config.allowlist.allows(peer_host) {
+            .field("peer", &peer_host)
+            .field("bytes", payload_len);
+        // The allowlist answers first: a host that may not submit
+        // learns nothing about how its bytes decoded.
+        if !self.config.allowlist.allows(&peer_host) {
             self.rejected_allowlist.inc();
             span.severity(Severity::Warn).field("rejected", "allowlist").finish();
             return Admission::Rejected(ServerResponse::Rejected(format!(
                 "host {peer_host} not in allowlist"
             )));
         }
-        let message = match ClientMessage::decode(payload) {
+        let message = match message {
             Ok(m) => m,
             Err(e) => {
                 self.rejected_decode.inc();
@@ -218,7 +264,8 @@ impl CentralizedController {
         }
     }
 
-    /// Processes one framed client payload from `peer_host`.
+    /// Processes one framed client payload from `peer_host`: decodes
+    /// it and hands it to [`CentralizedController::submit_decoded`].
     ///
     /// Returns the response to send back plus the depot timing when the
     /// submission was accepted.
@@ -228,7 +275,16 @@ impl CentralizedController {
         payload: &[u8],
         now: Timestamp,
     ) -> (ServerResponse, Option<DepotTiming>) {
-        let (bytes, span, origin) = match self.admit(peer_host, payload) {
+        self.submit_decoded(DecodedSubmission::new(peer_host, payload), now)
+    }
+
+    /// Processes one already-decoded submission.
+    pub fn submit_decoded(
+        &self,
+        submission: DecodedSubmission,
+        now: Timestamp,
+    ) -> (ServerResponse, Option<DepotTiming>) {
+        let (bytes, span, origin) = match self.admit(submission) {
             Admission::Fresh(bytes, span, origin) => (bytes, span, origin),
             Admission::Duplicate => return (ServerResponse::Ack, None),
             Admission::Rejected(response) => return (response, None),
@@ -258,36 +314,54 @@ impl CentralizedController {
     }
 
     /// Processes a burst of `(peer_host, payload)` submissions in one
-    /// depot pass, returning one response per submission in order.
-    ///
-    /// Admission (allowlist, decode, per-message accept span and
-    /// counters) is identical to [`CentralizedController::submit`];
-    /// the depot lock is taken **once** and every admitted report is
-    /// spliced by a single [`Depot::receive_batch`] — the amortization
-    /// the paper's §5.2.2 scalability analysis calls for. The
-    /// simulation engine drains each tick's reporter output through
-    /// here.
+    /// depot pass, returning one response per submission in order:
+    /// decodes each payload and hands the burst to
+    /// [`CentralizedController::submit_batch_decoded`]. The simulation
+    /// engine drains each tick's reporter output through here.
     pub fn submit_batch(
         &self,
         submissions: &[(String, Vec<u8>)],
         now: Timestamp,
     ) -> Vec<(ServerResponse, Option<DepotTiming>)> {
+        self.submit_batch_decoded(
+            submissions
+                .iter()
+                .map(|(peer_host, payload)| DecodedSubmission::new(peer_host.as_str(), payload)),
+            now,
+        )
+    }
+
+    /// Processes a burst of already-decoded submissions in one depot
+    /// pass, returning one response per submission in order.
+    ///
+    /// Admission (allowlist, decode outcome, per-message accept span
+    /// and counters) is identical to
+    /// [`CentralizedController::submit_decoded`]; the depot lock is
+    /// taken **once** and every admitted report is spliced by a single
+    /// [`Depot::receive_batch`] — the amortization the paper's §5.2.2
+    /// scalability analysis calls for. The reactor front end submits
+    /// every frame of a readiness pass through here.
+    pub fn submit_batch_decoded(
+        &self,
+        submissions: impl IntoIterator<Item = DecodedSubmission>,
+        now: Timestamp,
+    ) -> Vec<(ServerResponse, Option<DepotTiming>)> {
+        let submissions = submissions.into_iter();
         let mut results: Vec<Option<(ServerResponse, Option<DepotTiming>)>> =
-            (0..submissions.len()).map(|_| None).collect();
+            Vec::with_capacity(submissions.size_hint().0);
         let mut admitted: Vec<(usize, inca_obs::trace::Span, Option<(String, u64)>)> =
             Vec::new();
         let mut batch: Vec<Vec<u8>> = Vec::new();
-        for (index, (peer_host, payload)) in submissions.iter().enumerate() {
-            match self.admit(peer_host, payload) {
+        for (index, submission) in submissions.enumerate() {
+            results.push(match self.admit(submission) {
                 Admission::Fresh(bytes, span, origin) => {
                     admitted.push((index, span, origin));
                     batch.push(bytes);
+                    None
                 }
-                Admission::Duplicate => {
-                    results[index] = Some((ServerResponse::Ack, None));
-                }
-                Admission::Rejected(response) => results[index] = Some((response, None)),
-            }
+                Admission::Duplicate => Some((ServerResponse::Ack, None)),
+                Admission::Rejected(response) => Some((response, None)),
+            });
         }
         self.queue_depth.add(batch.len() as f64);
         let outcomes = {
@@ -498,9 +572,9 @@ fn handle_connection(
     stream.set_read_timeout(Some(SERVER_IDLE_TIMEOUT))?;
     stream.set_write_timeout(Some(SERVER_WRITE_TIMEOUT))?;
     // Peer identity: in the 2004 deployment this was the reverse-DNS
-    // hostname; here the client message's resource field is checked
-    // against the allowlist and the socket peer is recorded only for
-    // diagnostics.
+    // hostname; here the host the client message names for itself
+    // (`ClientMessage::allowlist_key`) is checked against the allowlist
+    // and the socket peer is recorded only for diagnostics.
     let _ = peer;
     loop {
         let payload = match read_frame(&mut stream) {
@@ -524,18 +598,16 @@ fn handle_connection(
                 return Ok(());
             }
         };
-        // Resource hostname inside the message is the allowlist key.
-        let peer_host = match ClientMessage::decode(&payload) {
-            Ok(m) => m.resource,
-            Err(_) => String::new(),
-        };
+        // The one decode of this frame; its bytes are done with.
+        let submission = DecodedSubmission::from_frame(&payload);
+        drop(payload);
         let now = Timestamp::from_secs(
             std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_secs())
                 .unwrap_or(0),
         );
-        let (response, _) = controller.submit(&peer_host, &payload, now);
+        let (response, _) = controller.submit_decoded(submission, now);
         write_frame(&mut stream, &response.encode())?;
         stream.flush()?;
     }
@@ -587,7 +659,7 @@ impl Drop for TcpServerHandle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use inca_report::{BranchId, ReportBuilder};
 
@@ -835,6 +907,150 @@ mod tests {
             xml.with_depot(|d| d.cache().document().to_string()),
             "binary-framed batch must build the same cache as the XML envelope"
         );
+    }
+
+    /// One submission of every kind admission tells apart, as
+    /// `(peer_host, payload)`. Hosts under `teragrid.org` and the relay
+    /// `relay-west` are the ones [`restrictive`] admits.
+    pub(crate) fn mixed_submissions() -> Vec<(String, Vec<u8>)> {
+        let host = "tg-login1.sdsc.teragrid.org";
+        let report = ReportBuilder::new("version.globus", "1.0")
+            .host(host)
+            .gmt(Timestamp::from_secs(1_000))
+            .body_value("packageVersion", "2.4.3")
+            .success()
+            .unwrap();
+        let branch = |reporter: &str| -> BranchId {
+            format!("reporter={reporter},resource={host},site=sdsc,vo=tg").parse().unwrap()
+        };
+        let error = inca_report::Report::execution_error(
+            report.header.clone(),
+            "killed after exceeding expected run time",
+        );
+        let bad_report = format!(
+            "<incaMessage kind=\"report\"><resource>{host}</resource><branch>{}</branch>\
+             <payload>&lt;notAReport/&gt;</payload></incaMessage>",
+            branch("bad.report")
+        );
+        let traced = ClientMessage::report(host, branch("traced"), &report)
+            .with_trace(inca_obs::TraceContext { trace_id: 0xfeed, parent_span_id: 7 });
+        let relayed = ClientMessage::report("leaf.behind.relay", branch("relayed"), &report)
+            .with_origin("relay-west", 1)
+            .with_via("relay-west");
+        vec![
+            (host.into(), stamped(host, 1)),                      // fresh
+            (host.into(), stamped(host, 1)),                      // duplicate (daemon, seq)
+            ("evil.example.com".into(), message("evil.example.com")), // host not allowed
+            (host.into(), b"not a message".to_vec()),             // undecodable, allowed host
+            ("evil.example.com".into(), vec![0xFF, 0xFE]),        // undecodable, other host
+            (host.into(), bad_report.into_bytes()),               // payload is no report
+            (host.into(), ClientMessage::error_report(host, branch("err"), &error).encode()),
+            (host.into(), traced.encode()),
+            ("relay-west".into(), relayed.encode()),
+            (host.into(), stamped(host, 2)),                      // replaces the first branch
+        ]
+    }
+
+    pub(crate) fn restrictive() -> HostAllowlist {
+        HostAllowlist::from_entries(["*.teragrid.org", "relay-west"])
+    }
+
+    /// Everything admission can be observed by.
+    #[derive(Debug, PartialEq)]
+    pub(crate) struct Observed {
+        /// Each reply, and whether it came with a depot timing.
+        pub(crate) responses: Vec<(ServerResponse, bool)>,
+        /// accepted, rejected{allowlist, decode, depot}, duplicates.
+        pub(crate) counters: [Option<u64>; 5],
+        pub(crate) duplicates: u64,
+        pub(crate) error_reports: u64,
+        pub(crate) document: String,
+    }
+
+    pub(crate) fn observed(
+        controller: &CentralizedController,
+        responses: Vec<(ServerResponse, Option<DepotTiming>)>,
+    ) -> Observed {
+        let metrics = controller.obs().metrics();
+        let rejected =
+            |reason| metrics.counter_value("inca_controller_rejected_total", &[("reason", reason)]);
+        Observed {
+            responses: responses.into_iter().map(|(r, timing)| (r, timing.is_some())).collect(),
+            counters: [
+                metrics.counter_value("inca_controller_accepted_total", &[]),
+                rejected("allowlist"),
+                rejected("decode"),
+                rejected("depot"),
+                metrics.counter_value("inca_depot_duplicates_total", &[]),
+            ],
+            duplicates: controller.duplicate_count(),
+            error_reports: controller.error_report_count(),
+            document: controller.with_depot(|d| d.cache().document().to_string()),
+        }
+    }
+
+    #[test]
+    fn bytes_and_decoded_entries_admit_identically() {
+        let submissions = mixed_submissions();
+        let decoded = || submissions.iter().map(|(h, p)| DecodedSubmission::new(h.as_str(), p));
+        let now = Timestamp::from_secs(2_000);
+        for allowlist in [HostAllowlist::allow_all(), restrictive()] {
+            let fresh = || {
+                CentralizedController::new(
+                    ControllerConfig { allowlist: allowlist.clone(), ..Default::default() },
+                    Depot::with_obs(inca_obs::Obs::new()),
+                )
+            };
+            let c = fresh();
+            let bytes_single = observed(
+                &c,
+                submissions.iter().map(|(h, p)| c.submit(h, p, now)).collect(),
+            );
+            let c = fresh();
+            let decoded_single =
+                observed(&c, decoded().map(|s| c.submit_decoded(s, now)).collect());
+            let c = fresh();
+            let bytes_batch = observed(&c, c.submit_batch(&submissions, now));
+            let c = fresh();
+            let decoded_batch = observed(&c, c.submit_batch_decoded(decoded(), now));
+            assert_eq!(decoded_single, bytes_single);
+            assert_eq!(bytes_batch, bytes_single);
+            assert_eq!(decoded_batch, bytes_single);
+
+            // And the outcome is the intended one, not merely the same.
+            let Observed { responses, counters, duplicates, error_reports, .. } = bytes_single;
+            let acked: Vec<bool> =
+                responses.iter().map(|(r, _)| *r == ServerResponse::Ack).collect();
+            let restricted = allowlist != HostAllowlist::allow_all();
+            assert_eq!(
+                acked,
+                [true, true, !restricted, false, false, false, true, true, true, true]
+            );
+            assert!(!responses[1].1, "the duplicate is acked without a depot pass");
+            let refused = ServerResponse::Rejected("host evil.example.com not in allowlist".into());
+            if restricted {
+                // The allowlist answers before the decode error does.
+                assert_eq!(responses[2].0, refused);
+                assert_eq!(responses[4].0, refused);
+                assert_eq!(counters, [Some(5), Some(2), Some(2), Some(0), Some(1)]);
+            } else {
+                assert_eq!(counters, [Some(6), Some(0), Some(3), Some(0), Some(1)]);
+            }
+            assert_eq!((duplicates, error_reports), (1, 1));
+        }
+    }
+
+    #[test]
+    fn undecodable_frame_from_a_socket_is_keyed_on_the_empty_host() {
+        let submission = DecodedSubmission::from_frame(b"garbage");
+        assert_eq!(submission.peer_host, "");
+        assert_eq!(submission.payload_len, 7);
+        let controller = CentralizedController::new(
+            ControllerConfig { allowlist: restrictive(), ..Default::default() },
+            Depot::with_obs(inca_obs::Obs::new()),
+        );
+        let (response, _) = controller.submit_decoded(submission, Timestamp::from_secs(0));
+        assert_eq!(response, ServerResponse::Rejected("host  not in allowlist".into()));
     }
 
     #[test]

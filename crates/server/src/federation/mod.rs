@@ -42,7 +42,7 @@ use inca_rrd::ArchivePolicy;
 use inca_wire::envelope::EnvelopeMode;
 use inca_wire::message::{ClientMessage, ServerResponse};
 
-use crate::controller::{CentralizedController, ControllerConfig};
+use crate::controller::{CentralizedController, ControllerConfig, DecodedSubmission};
 use crate::depot::archive::ArchiveRule;
 use crate::depot::cache::CacheError;
 use crate::depot::depot::{Depot, DepotTiming};
@@ -184,29 +184,29 @@ impl Federation {
 
     /// Routes one framed submission to the owning partition.
     ///
-    /// The payload is decoded *only* to learn its branch; the owning
-    /// controller re-runs full admission (allowlist, dedup, envelope)
-    /// on the original bytes. An undecodable payload is rejected here
-    /// — there is no partition it could belong to.
+    /// The payload is decoded once, here: its branch picks the
+    /// partition, and the decoded message goes on to the owning
+    /// controller's admission (allowlist, dedup, envelope). An
+    /// undecodable payload is rejected here — there is no partition it
+    /// could belong to.
     pub fn submit(
         &self,
         peer_host: &str,
         payload: &[u8],
         now: Timestamp,
     ) -> (ServerResponse, Option<DepotTiming>) {
-        let message = match ClientMessage::decode(payload) {
-            Ok(m) => m,
-            Err(e) => return (ServerResponse::Rejected(format!("unroutable: {e}")), None),
+        let submission = DecodedSubmission::new(peer_host, payload);
+        let result = match self.route_decoded(&submission) {
+            Ok(partition) => self.depots[partition].submit_decoded(submission, now),
+            Err(unroutable) => (unroutable, None),
         };
-        let partition = self.map.route(&message.branch);
-        let controller = &self.depots[partition];
-        let result = controller.submit(peer_host, payload, now);
         self.sync_gauges();
         result
     }
 
     /// Routes a burst of `(peer_host, payload)` submissions, one depot
     /// batch per owning partition, returning responses in input order.
+    /// Each payload is decoded once, as in [`Federation::submit`].
     pub fn submit_batch(
         &self,
         submissions: &[(String, Vec<u8>)],
@@ -216,28 +216,35 @@ impl Federation {
             (0..submissions.len()).map(|_| None).collect();
         // Group per partition preserving input order within each
         // group; BTreeMap keeps the partition visit order stable.
-        let mut groups: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (index, (_, payload)) in submissions.iter().enumerate() {
-            match ClientMessage::decode(payload) {
-                Ok(message) => {
-                    groups.entry(self.map.route(&message.branch)).or_default().push(index)
+        let mut groups: BTreeMap<&str, (Vec<usize>, Vec<DecodedSubmission>)> = BTreeMap::new();
+        for (index, (peer_host, payload)) in submissions.iter().enumerate() {
+            let submission = DecodedSubmission::new(peer_host.as_str(), payload);
+            match self.route_decoded(&submission) {
+                Ok(partition) => {
+                    let (indices, batch) = groups.entry(partition).or_default();
+                    indices.push(index);
+                    batch.push(submission);
                 }
-                Err(e) => {
-                    results[index] =
-                        Some((ServerResponse::Rejected(format!("unroutable: {e}")), None));
-                }
+                Err(unroutable) => results[index] = Some((unroutable, None)),
             }
         }
-        for (partition, indices) in groups {
-            let batch: Vec<(String, Vec<u8>)> =
-                indices.iter().map(|&i| submissions[i].clone()).collect();
-            let outcomes = self.depots[partition].submit_batch(&batch, now);
+        for (partition, (indices, batch)) in groups {
+            let outcomes = self.depots[partition].submit_batch_decoded(batch, now);
             for (index, outcome) in indices.into_iter().zip(outcomes) {
                 results[index] = Some(outcome);
             }
         }
         self.sync_gauges();
         results.into_iter().map(|r| r.expect("every submission resolved")).collect()
+    }
+
+    /// The partition owning a decoded submission's branch, or the
+    /// rejection for one that did not decode.
+    fn route_decoded(&self, submission: &DecodedSubmission) -> Result<&str, ServerResponse> {
+        match &submission.message {
+            Ok(message) => Ok(self.map.route(&message.branch)),
+            Err(e) => Err(ServerResponse::Rejected(format!("unroutable: {e}"))),
+        }
     }
 
     /// The global cache document: every partition's reports, merged in
@@ -631,6 +638,67 @@ mod tests {
             assert!(bytes > 1);
         }
         assert!(fed.largest_cache_bytes() > 1);
+    }
+
+    /// Routing on the decoded message changes where a submission is
+    /// admitted, never how: the mixed batch through the federation —
+    /// one at a time and as a burst — is answered and counted exactly
+    /// as a single controller admits it, except that a frame with no
+    /// branch to route on is turned away at the door.
+    #[test]
+    fn federation_admits_the_mixed_batch_like_a_single_controller() {
+        use crate::controller::tests::{mixed_submissions, observed};
+        let submissions = mixed_submissions();
+        let now = Timestamp::from_secs(2_000);
+        let oracle = CentralizedController::new(
+            ControllerConfig::default(),
+            Depot::with_obs(Obs::new()),
+        );
+        let want = observed(&oracle, oracle.submit_batch(&submissions, now));
+
+        let single = federation(4);
+        let one_by_one: Vec<_> =
+            submissions.iter().map(|(h, p)| single.submit(h, p, now)).collect();
+        let batched = federation(4);
+        let burst = batched.submit_batch(&submissions, now);
+        for (fed, got) in [(&single, one_by_one), (&batched, burst)] {
+            let mut unroutable = 0;
+            for (((response, timing), (want_response, want_timing)), (_, payload)) in
+                got.iter().zip(&want.responses).zip(&submissions)
+            {
+                assert_eq!(timing.is_some(), *want_timing);
+                match ClientMessage::decode(payload) {
+                    Ok(_) => assert_eq!(response, want_response),
+                    Err(e) => {
+                        unroutable += 1;
+                        assert_eq!(
+                            *response,
+                            ServerResponse::Rejected(format!("unroutable: {e}"))
+                        );
+                    }
+                }
+            }
+            // Partition counters add up to the single controller's;
+            // unroutable frames never reach a partition's decode count.
+            let total = |name: &str, labels: &[(&str, &str)]| -> u64 {
+                fed.depots
+                    .values()
+                    .map(|c| c.obs().metrics().counter_value(name, labels).unwrap_or(0))
+                    .sum()
+            };
+            let got_counters = [
+                total("inca_controller_accepted_total", &[]),
+                total("inca_controller_rejected_total", &[("reason", "allowlist")]),
+                total("inca_controller_rejected_total", &[("reason", "decode")]) + unroutable,
+                total("inca_controller_rejected_total", &[("reason", "depot")]),
+                total("inca_depot_duplicates_total", &[]),
+            ];
+            assert_eq!(got_counters.map(Some), want.counters);
+            assert_eq!(fed.duplicate_count(), want.duplicates);
+            let errors: u64 = fed.depots.values().map(|c| c.error_report_count()).sum();
+            assert_eq!(errors, want.error_reports);
+            assert_eq!(fed.global_document().unwrap(), want.document);
+        }
     }
 
     #[test]

@@ -47,7 +47,8 @@ pub mod stats;
 pub mod temporal;
 
 pub use controller::{
-    CentralizedController, ControllerConfig, ServerFrontend, ServerHandle, TcpServerHandle,
+    CentralizedController, ControllerConfig, DecodedSubmission, ServerFrontend, ServerHandle,
+    TcpServerHandle,
 };
 pub use dedup::{DedupIndex, DEFAULT_DEDUP_WINDOW};
 pub use depot::cache::{CacheError, XmlCache};

@@ -18,8 +18,9 @@
 //!   zero-copy ([`inca_wire::envelope::EnvelopeView`]) straight into
 //!   the rope arena.
 //! * **Connection multiplexing**: every complete frame gathered in one
-//!   readiness pass — across *all* connections — is submitted as a
-//!   single [`CentralizedController::submit_batch`], so ten thousand
+//!   readiness pass — across *all* connections — is decoded once as it
+//!   completes and submitted in a single
+//!   [`CentralizedController::submit_batch_decoded`], so ten thousand
 //!   daemons share one depot-lock acquisition per pass instead of
 //!   contending per report.
 //! * **Explicit backpressure, nothing dropped**: a connection with
@@ -58,9 +59,9 @@ use std::time::{Duration, Instant};
 use inca_obs::metrics::{Counter, Gauge, Histogram, DEFAULT_LATENCY_BOUNDS};
 use inca_report::Timestamp;
 use inca_wire::frame::{FrameBuffer, FrameError};
-use inca_wire::message::{ClientMessage, ServerResponse};
+use inca_wire::message::ServerResponse;
 
-use crate::controller::{CentralizedController, SERVER_IDLE_TIMEOUT};
+use crate::controller::{CentralizedController, DecodedSubmission, SERVER_IDLE_TIMEOUT};
 use poller::{Interest, Poller, Readiness};
 
 /// Tuning knobs for the reactor event loop. The defaults serve the
@@ -143,16 +144,16 @@ impl Conn {
     }
 }
 
-/// A frame fully received and waiting for the depot, with everything
-/// needed to time and answer it.
+/// A frame fully received, decoded, and waiting for the depot, with
+/// everything needed to time and answer it. The frame's bytes are gone
+/// by now: the decoded submission is all the controller needs.
 struct PendingFrame {
     conn: u64,
-    payload: Vec<u8>,
-    /// Allowlist key: the client message's resource field (empty when
-    /// the message does not decode — admission rejects it uniformly).
-    resource: String,
+    submission: DecodedSubmission,
     /// Trace id for the accept-to-insert exemplar.
     trace_id: u64,
+    /// When the frame's last byte was reassembled — before its decode,
+    /// so accept-to-insert covers the decode.
     received_at: Instant,
 }
 
@@ -569,18 +570,12 @@ impl Reactor {
             }
             match conn.inbuf.next_frame() {
                 Ok(Some(payload)) => {
+                    let received_at = Instant::now();
                     self.metrics.frames.inc();
-                    let (resource, trace_id) = match ClientMessage::decode(&payload) {
-                        Ok(m) => (m.resource, m.trace.map_or(0, |ctx| ctx.trace_id)),
-                        Err(_) => (String::new(), 0),
-                    };
-                    pending.push(PendingFrame {
-                        conn: token,
-                        payload,
-                        resource,
-                        trace_id,
-                        received_at: Instant::now(),
-                    });
+                    let submission = DecodedSubmission::from_frame(&payload);
+                    let trace = submission.message.as_ref().ok().and_then(|m| m.trace);
+                    let trace_id = trace.map_or(0, |ctx| ctx.trace_id);
+                    pending.push(PendingFrame { conn: token, submission, trace_id, received_at });
                 }
                 Ok(None) => return Extracted::Ok,
                 Err(FrameError::TooLarge { .. }) => {
@@ -622,22 +617,26 @@ impl Reactor {
                 .map(|d| d.as_secs())
                 .unwrap_or(0),
         );
-        let submissions: Vec<(String, Vec<u8>)> = pending
-            .iter()
-            .map(|f| (f.resource.clone(), f.payload.clone()))
-            .collect();
-        let results = self.controller.submit_batch(&submissions, now);
+        let (frames, submissions): (Vec<_>, Vec<_>) = pending
+            .into_iter()
+            .map(|f| ((f.conn, f.trace_id, f.received_at), f.submission))
+            .unzip();
+        let results = self.controller.submit_batch_decoded(submissions, now);
         // A connection can contribute frames non-contiguously (backlog
         // frames first, this pass's reads later), so collect into a set
         // to flush and recompute interest exactly once per connection.
         let mut touched: BTreeSet<u64> = BTreeSet::new();
-        for (frame, (response, _timing)) in pending.iter().zip(results) {
+        for ((token, trace_id, received_at), (response, _timing)) in frames.into_iter().zip(results)
+        {
             self.metrics
                 .accept_to_insert
-                .observe_with_exemplar(frame.received_at.elapsed().as_secs_f64(), frame.trace_id);
-            if let Some(conn) = self.conns.get_mut(&frame.conn) {
-                stage_reply(conn, &response.encode());
-                touched.insert(frame.conn);
+                .observe_with_exemplar(received_at.elapsed().as_secs_f64(), trace_id);
+            if let Some(conn) = self.conns.get_mut(&token) {
+                match response {
+                    ServerResponse::Ack => conn.outbuf.extend_from_slice(ACK_FRAME),
+                    rejected => stage_reply(conn, &rejected.encode()),
+                }
+                touched.insert(token);
             }
         }
         for token in touched {
@@ -745,6 +744,10 @@ enum Extracted {
     Corrupt,
 }
 
+/// The reply to almost every frame, framed once: length prefix +
+/// `ServerResponse::Ack.encode()`.
+const ACK_FRAME: &[u8] = b"\0\0\0\x06<ack/>";
+
 /// Appends an encoded reply frame (length prefix + payload) to the
 /// connection's staging buffer.
 fn stage_reply(conn: &mut Conn, payload: &[u8]) {
@@ -838,6 +841,7 @@ mod tests {
     use crate::depot::depot::Depot;
     use inca_report::{BranchId, ReportBuilder};
     use inca_wire::frame::{read_frame, write_frame};
+    use inca_wire::message::ClientMessage;
 
     fn message(resource: &str, reporter: &str) -> Vec<u8> {
         let report = ReportBuilder::new(reporter, "1.0")
@@ -955,6 +959,55 @@ mod tests {
         ));
         // Connection is closed after the rejection.
         assert!(matches!(read_frame(&mut stream), Err(FrameError::Closed)));
+        handle.stop();
+    }
+
+    #[test]
+    fn staged_ack_bytes_are_the_framed_ack_reply() {
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &ServerResponse::Ack.encode()).unwrap();
+        assert_eq!(ACK_FRAME, &framed[..]);
+    }
+
+    /// Hostile payloads inside well-formed frames: each gets exactly
+    /// one rejection, the connection survives, nothing reaches the
+    /// depot, and a good frame pipelined behind them still lands.
+    #[test]
+    fn hostile_framed_payloads_get_one_rejection_each_and_never_reach_the_depot() {
+        let (controller, handle) = spawn_reactor();
+        let good = message("h1", "version.gcc");
+        let truncated = good[..good.len() / 2].to_vec();
+        let garbage: Vec<u8> = (0..4_096u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        // Within the frame limit, far beyond any report: a megabyte
+        // that opens like a message and never closes.
+        let mut huge = b"<incaMessage kind=\"report\"><resource>h1</resource><payload>".to_vec();
+        huge.resize(1 << 20, b'x');
+        let hostile = [truncated, garbage, huge, Vec::new(), vec![0xFF, 0xFE]];
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut wire = Vec::new();
+        for payload in &hostile {
+            write_frame(&mut wire, payload).unwrap();
+        }
+        write_frame(&mut wire, &good).unwrap();
+        stream.write_all(&wire).unwrap();
+        for payload in &hostile {
+            let reply = ServerResponse::decode(&read_frame(&mut stream).unwrap()).unwrap();
+            let want = ClientMessage::decode(payload).unwrap_err().to_string();
+            assert_eq!(reply, ServerResponse::Rejected(want));
+        }
+        let reply = read_frame(&mut stream).unwrap();
+        assert_eq!(ServerResponse::decode(&reply).unwrap(), ServerResponse::Ack);
+        assert_eq!(controller.with_depot(|d| d.stats().report_count()), 1);
+        let metrics = controller.obs().metrics();
+        assert_eq!(
+            metrics.counter_value("inca_controller_rejected_total", &[("reason", "decode")]),
+            Some(hostile.len() as u64)
+        );
+        assert_eq!(metrics.counter_value("inca_controller_accepted_total", &[]), Some(1));
+        assert_eq!(
+            metrics.counter_value("inca_net_frames_total", &[]),
+            Some(hostile.len() as u64 + 1)
+        );
         handle.stop();
     }
 
@@ -1130,7 +1183,11 @@ mod tests {
         let stream = TcpStream::connect(handle.addr()).unwrap();
         set_kernel_buf(&stream, KernelBuf::Recv, 4_096).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        let burst: usize = 4_000;
+        // ~80KiB of acks: more than the 64KiB window the client
+        // advertised at connect, before its receive buffer was pinned
+        // (a kernel honours that first window, so a 40KiB burst of
+        // acks was absorbed whole and the connection never paused).
+        let burst: usize = 8_000;
         let mut wire = Vec::new();
         for i in 0..burst {
             write_frame(&mut wire, &message(&format!("sw{i}"), "sw")).unwrap();

@@ -8,6 +8,8 @@
 //! shape with a flag, so the server can count them separately.
 
 use std::fmt;
+#[cfg(debug_assertions)]
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use inca_obs::TraceContext;
 use inca_report::{BranchId, Report};
@@ -40,6 +42,19 @@ impl From<XmlError> for WireError {
     fn from(e: XmlError) -> Self {
         WireError::Malformed(e.to_string())
     }
+}
+
+/// Calls to [`ClientMessage::decode`] in this process.
+#[cfg(debug_assertions)]
+static DECODE_CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// How many times [`ClientMessage::decode`] has run in this process.
+/// Debug builds only: the decode-once regression tests
+/// (`tests/decode_once.rs`) read it around a known number of frames to
+/// prove each ingest route decodes a frame exactly once.
+#[cfg(debug_assertions)]
+pub fn decode_calls() -> u64 {
+    DECODE_CALLS.load(Ordering::Relaxed)
 }
 
 /// A message from a distributed controller to the centralized
@@ -123,6 +138,14 @@ impl ClientMessage {
         self
     }
 
+    /// The host the server authenticates this message by: the
+    /// forwarding hop when a depot relay stamped one (a federated
+    /// parent lists its relays, not every leaf behind them), else the
+    /// submitting resource.
+    pub fn allowlist_key(&self) -> &str {
+        self.via.as_deref().unwrap_or(&self.resource)
+    }
+
     /// Serializes to the frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let kind = if self.is_error_report { "error" } else { "report" };
@@ -152,6 +175,8 @@ impl ClientMessage {
 
     /// Parses a frame payload, validating branch and report.
     pub fn decode(payload: &[u8]) -> Result<ClientMessage, WireError> {
+        #[cfg(debug_assertions)]
+        DECODE_CALLS.fetch_add(1, Ordering::Relaxed);
         let text = std::str::from_utf8(payload)
             .map_err(|e| WireError::Malformed(format!("not UTF-8: {e}")))?;
         let root = Element::parse(text)?;
@@ -314,6 +339,7 @@ mod tests {
         let decoded = ClientMessage::decode(&msg.encode()).unwrap();
         assert_eq!(decoded.via.as_deref(), Some("depot-west"));
         assert_eq!(decoded, msg);
+        assert_eq!(decoded.allowlist_key(), "depot-west", "the hop authenticates, not the leaf");
 
         // A message without the hop stamp (a direct submission, or a
         // peer predating federation) decodes with via = None.
@@ -321,6 +347,7 @@ mod tests {
             String::from_utf8(msg.encode()).unwrap().replace(" via=\"depot-west\"", "");
         let decoded = ClientMessage::decode(stripped.as_bytes()).unwrap();
         assert_eq!(decoded.via, None);
+        assert_eq!(decoded.allowlist_key(), "h");
         assert_eq!(decoded.branch, msg.branch);
     }
 

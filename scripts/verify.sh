@@ -1,6 +1,7 @@
 #!/bin/sh
 # The full verify flow: the tier-1 gate (ROADMAP.md), the
-# self-monitoring/exposition gate, and the documentation gate.
+# self-monitoring/exposition gate, the per-subsystem gates, the gated
+# pipeline benchmark's tests and smoke pass, and the documentation gate.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -96,6 +97,30 @@ echo "== federation gate =="
 cargo test -q -p inca-server --lib federation
 cargo test -q -p inca-controller --lib relay
 cargo test -q --test federation
+
+# The front-end → controller boundary: the one admission routine
+# answers identically through the bytes and the decoded entry points
+# (controller unit tests; the decode-once counts and the relayed-`via`
+# allowlist run with tier-1 as tests/ingest_boundary.rs), the bounded
+# response statistics equal an unbounded reference up to the cap, and
+# `Report::parse` keeps its validation on the owning path.
+echo "== ingest boundary gate =="
+cargo test -q -p inca-server --lib controller
+cargo test -q -p inca-obs --lib hist
+cargo test -q -p inca-report
+
+# The gated pipeline benchmark (BENCHMARK.json) is a package of its
+# own that nothing else builds: its unit tests and a smoke pass keep a
+# signature change in the crates from breaking the gate binary unseen.
+# run.sh exits non-zero when a workload's output checks fail; the grep
+# also catches a result object that says so.
+echo "== pipeline benchmark gate =="
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke
+if grep -l '"correct": false' benchmark/out/results.json benchmark/out/run.*.json; then
+  echo "verify FAILED: pipeline benchmark smoke produced an incorrect result" >&2
+  exit 1
+fi
 
 # The bench baselines must stay runnable: a smoke pass writes its JSON
 # to target/ (never the tracked BENCH_*.json) and we check the fields
