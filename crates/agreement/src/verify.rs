@@ -8,10 +8,11 @@
 //! failure detail links ("the test that has failed is listed and a URL
 //! is given to display the error message").
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use inca_report::{BranchId, Report};
-use inca_xml::IncaPath;
+use inca_xml::resolve_steps;
 
 use crate::spec::{Agreement, Category};
 
@@ -80,14 +81,21 @@ impl ResourceVerification {
 /// `reports` are the cached `(branch, report)` pairs for this resource
 /// (as returned by the query interface). Reports are indexed by the
 /// reporter name in their headers; when several reports share a name
-/// the last one wins (the cache holds one per branch anyway).
-pub fn verify_resource(
+/// the last one wins (the cache holds one per branch anyway). Owned
+/// and shared (`Arc<Report>`, as the depot's set reads return) reports
+/// verify alike.
+pub fn verify_resource<R: Borrow<Report>>(
     agreement: &Agreement,
-    reports: &[(BranchId, Report)],
+    reports: &[(BranchId, R)],
     resource: &str,
 ) -> ResourceVerification {
-    let by_reporter: BTreeMap<&str, &Report> =
-        reports.iter().map(|(_, r)| (r.header.reporter.as_str(), r)).collect();
+    let by_reporter: BTreeMap<&str, &Report> = reports
+        .iter()
+        .map(|(_, r)| {
+            let report: &Report = r.borrow();
+            (report.header.reporter.as_str(), report)
+        })
+        .collect();
     let mut results = Vec::new();
 
     // Package requirements: a version test plus any deployed unit tests.
@@ -109,8 +117,8 @@ pub fn verify_resource(
                     .unwrap_or_else(|| "version reporter failed".into()),
             )),
             Some(report) => {
-                let path: IncaPath = "packageVersion".parse().expect("static path");
-                match report.body.lookup(&path).map(|e| e.text()) {
+                let found = resolve_steps(report.body.root(), &[("packageVersion", None)]);
+                match found.map(|e| e.text()) {
                     Some(found) if pkg.version.matches_str(&found) => {
                         results.push(TestResult::pass(version_id, pkg.category))
                     }
@@ -157,10 +165,11 @@ pub fn verify_resource(
         match env_report {
             None => results.push(TestResult::fail(id, Category::Cluster, "no environment data")),
             Some(report) => {
-                let path: IncaPath = format!("value, var={}, environment", var.name)
-                    .parse()
-                    .expect("variable names contain no path separators");
-                match report.body.lookup(&path).map(|e| e.text()) {
+                // `value, var=<name>, environment`, root-first; the
+                // name trimmed as the written path form trims it.
+                let steps =
+                    [("environment", None), ("var", Some(var.name.trim())), ("value", None)];
+                match resolve_steps(report.body.root(), &steps).map(|e| e.text()) {
                     None => results.push(TestResult::fail(
                         id,
                         Category::Cluster,
@@ -186,10 +195,9 @@ pub fn verify_resource(
         match softenv_report {
             None => results.push(TestResult::fail(id, Category::Cluster, "no SoftEnv data")),
             Some(report) => {
-                let path: IncaPath = format!("expansion, key={key}, softenv")
-                    .parse()
-                    .expect("softenv keys contain no path separators");
-                if report.body.lookup(&path).is_some() {
+                // `expansion, key=<key>, softenv`, root-first, trimmed alike.
+                let steps = [("softenv", None), ("key", Some(key.trim())), ("expansion", None)];
+                if resolve_steps(report.body.root(), &steps).is_some() {
                     results.push(TestResult::pass(id, Category::Cluster));
                 } else {
                     results.push(TestResult::fail(
@@ -328,7 +336,7 @@ mod tests {
     #[test]
     fn missing_data_fails_each_requirement() {
         let a = small_agreement();
-        let v = verify_resource(&a, &[], "r1");
+        let v = verify_resource::<Report>(&a, &[], "r1");
         let (pass, fail) = v.total_counts();
         assert_eq!(pass, 0);
         assert_eq!(fail, 3); // version + env var + service

@@ -24,7 +24,8 @@ pub fn probe_observations(
 ) -> Vec<ProbeObservation> {
     let reporter_prefix = format!("grid.services.{service}.probe");
     let mut out = Vec::new();
-    for (branch, report) in query.temporal().vo_reports(vo) {
+    // A cache the depot cannot read yields no observations.
+    for (branch, report) in query.temporal().vo_reports(vo).unwrap_or_default() {
         let Some(reporter) = branch.get("reporter") else { continue };
         if !reporter.starts_with(&reporter_prefix) {
             continue;

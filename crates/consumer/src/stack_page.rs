@@ -69,7 +69,9 @@ pub fn build_stack_page(
         packages.insert(pkg.name.clone(), Vec::with_capacity(resources.len()));
     }
     for (site, resource) in resources {
-        let reports = query.temporal().resource_reports(&agreement.vo, site, resource);
+        // A cache the depot cannot read renders as "no data" cells.
+        let reports =
+            query.temporal().resource_reports(&agreement.vo, site, resource).unwrap_or_default();
         let verification = verify_resource(agreement, &reports, resource);
         for pkg in &agreement.packages {
             // The package is green iff its version test and all its

@@ -395,26 +395,28 @@ impl SimRun {
     fn verification_pass(&self, t: Timestamp) -> Vec<(String, ComplianceSummary)> {
         let targets = self.verify_targets();
         let agreement = &self.deployment.agreement;
-        let mut summaries = Vec::with_capacity(targets.len());
-        for (site, host) in &targets {
-            let suffix: BranchId =
-                format!("resource={host},site={site},vo={}", agreement.vo)
-                    .parse()
-                    .expect("labels are branch-safe");
-            let summary = self.server.with_depot(|depot| {
-                let query = QueryInterface::new(depot);
-                let reports = query.reports(Some(&suffix)).unwrap_or_default();
-                let verification = verify_resource(agreement, &reports, host);
-                ComplianceSummary::from_verification(&verification)
-            });
-            summaries.push((format!("{site}-{host}"), summary));
-        }
+        // One read guard and one query handle for the whole pass.
+        let summaries: Vec<(String, ComplianceSummary)> = self.server.with_depot(|depot| {
+            let query = QueryInterface::new(depot);
+            targets
+                .iter()
+                .map(|(site, host)| {
+                    let suffix: BranchId =
+                        format!("resource={host},site={site},vo={}", agreement.vo)
+                            .parse()
+                            .expect("labels are branch-safe");
+                    let reports = query.reports(Some(&suffix)).unwrap_or_default();
+                    let verification = verify_resource(agreement, &reports, host);
+                    (format!("{site}-{host}"), ComplianceSummary::from_verification(&verification))
+                })
+                .collect()
+        });
         if self.options.track_availability {
-            for (label, summary) in &summaries {
-                self.server.with_depot_mut(|depot| {
+            self.server.with_depot_mut(|depot| {
+                for (label, summary) in &summaries {
                     self.tracker.record(depot, label, summary, t);
-                });
-            }
+                }
+            });
         }
         summaries
     }
@@ -772,6 +774,65 @@ mod tests {
             assert!(inline.stats().executed > 0, "the tick fired real work");
             assert_eq!(inline.stats(), pooled.stats());
             assert_eq!(inline.spool().depth(), pooled.spool().depth());
+        }
+    }
+
+    #[test]
+    fn verification_pass_records_the_series_a_per_resource_pass_would() {
+        // The pass records every resource under one write guard; the
+        // `availability:*` series, their creation order and their
+        // points must equal recording the same summaries one resource
+        // (one guard) at a time.
+        let (start, end) = short_horizon(2);
+        let mut run = SimRun::new(
+            teragrid_deployment(42, start, end),
+            SimOptions { verify_every_secs: Some(600), ..Default::default() },
+        );
+        for daemon in run.daemons.iter_mut().flatten() {
+            daemon.prime(start);
+        }
+        let first = run.daemons.iter().flatten().filter_map(|d| d.peek_next()).min().unwrap();
+        run.fire_due_daemons(first);
+        run.drain_tick(first);
+
+        let reference = CentralizedController::new(
+            ControllerConfig::default(),
+            Depot::with_obs(Obs::new()),
+        );
+        for pass in 1..=3u64 {
+            let t = first + pass * 600;
+            let summaries = run.verification_pass(t);
+            assert_eq!(summaries.len(), 10, "every resource verified");
+            assert!(summaries.iter().any(|(_, s)| s.total().pass > 0), "the tick delivered data");
+            for (label, summary) in &summaries {
+                reference.with_depot_mut(|depot| run.tracker.record(depot, label, summary, t));
+            }
+        }
+        let availability = |c: &CentralizedController| {
+            c.with_depot(|d| {
+                let names: Vec<String> = d
+                    .archive()
+                    .series_names()
+                    .into_iter()
+                    .filter(|name| name.starts_with("availability:"))
+                    .collect();
+                let series: Vec<_> = names
+                    .iter()
+                    .map(|name| {
+                        d.archive()
+                            .fetch_series(name, inca_rrd::ConsolidationFn::Average, start, end)
+                            .expect("listed series fetches")
+                    })
+                    .collect();
+                (names, series)
+            })
+        };
+        let (names, series) = availability(&run.server);
+        let (want_names, want_series) = availability(&reference);
+        assert_eq!(names.len(), 40, "four series per resource");
+        assert_eq!(names, want_names);
+        for ((name, got), want) in names.iter().zip(&series).zip(&want_series) {
+            assert!(got.same_series(want), "{name}: {got:?} != {want:?}");
         }
     }
 

@@ -34,5 +34,7 @@ pub use branch::BranchId;
 pub use builder::ReportBuilder;
 pub use footer::{ExitStatus, Footer};
 pub use header::Header;
+#[cfg(debug_assertions)]
+pub use report::parse_calls;
 pub use report::{Report, ReportError};
 pub use time::Timestamp;

@@ -5,12 +5,27 @@
 //! through the distributed and centralized controllers, into the depot.
 
 use std::fmt;
+#[cfg(debug_assertions)]
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use inca_xml::{Element, XmlError};
 
 use crate::body::Body;
 use crate::footer::Footer;
 use crate::header::Header;
+
+/// Calls to [`Report::parse`] in this process.
+#[cfg(debug_assertions)]
+static PARSE_CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// How many times [`Report::parse`] has run in this process. Debug
+/// builds only: the consumer-boundary regression test
+/// (`tests/consumer_boundary.rs`) reads it around a set read to prove
+/// the depot parses only the reports replaced since the last one.
+#[cfg(debug_assertions)]
+pub fn parse_calls() -> u64 {
+    PARSE_CALLS.load(Ordering::Relaxed)
+}
 
 /// Error wrapper for report assembly/parsing problems.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,6 +93,8 @@ impl Report {
 
     /// Parses and validates a serialized report.
     pub fn parse(xml: &str) -> Result<Report, ReportError> {
+        #[cfg(debug_assertions)]
+        PARSE_CALLS.fetch_add(1, Ordering::Relaxed);
         Report::from_root(Element::parse(xml)?)
     }
 

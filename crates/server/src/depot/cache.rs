@@ -509,13 +509,35 @@ impl XmlCache {
 
     /// Collects `(branch, report_xml)` pairs whose branch matches the
     /// suffix `query` (or all reports when `query` is `None`). Used by
-    /// data consumers.
+    /// data consumers. The `visit_reports` walk with every visit
+    /// copied out — byte-identical to [`XmlCache::scan_reports`].
+    pub fn reports(&self, query: Option<&BranchId>) -> Result<Vec<(BranchId, String)>, CacheError> {
+        let mut out = Vec::new();
+        self.visit_reports(query, &mut |path, xml| {
+            out.push((branch_of(path)?, xml.to_string()));
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Calls `visit(path, report_xml)` for every report whose branch
+    /// matches the suffix `query` (all reports when `None`), in
+    /// document order and without copying: `path` is the branch as
+    /// general-first `(name, id)` pairs, `report_xml` a slice of the
+    /// document. The first error a visit returns ends the walk.
     ///
     /// O(result log cache): a suffix query is a prefix of the
     /// general-first index keys, so one `BTreeMap` range scan finds
     /// every match; results are then ordered by byte offset, which is
-    /// document order — byte-identical to [`XmlCache::scan_reports`].
-    pub fn reports(&self, query: Option<&BranchId>) -> Result<Vec<(BranchId, String)>, CacheError> {
+    /// document order.
+    pub(crate) fn visit_reports<'a, F>(
+        &'a self,
+        query: Option<&BranchId>,
+        visit: &mut F,
+    ) -> Result<(), CacheError>
+    where
+        F: FnMut(&[(&'a str, &'a str)], &'a str) -> Result<(), CacheError>,
+    {
         let mut hits: Vec<(&PathKey, (usize, usize))> = match query {
             None => self.index.reports.iter().map(|(k, &v)| (k, v)).collect(),
             Some(q) => {
@@ -532,14 +554,13 @@ impl XmlCache {
             }
         };
         hits.sort_by_key(|&(_, (start, _))| start);
-        hits.into_iter()
-            .map(|(path, (start, end))| {
-                let pairs: Vec<(String, String)> = path.iter().rev().cloned().collect();
-                let branch =
-                    BranchId::new(pairs).map_err(|e| CacheError::Corrupt(e.to_string()))?;
-                Ok((branch, self.doc[start..end].to_string()))
-            })
-            .collect()
+        let mut path: Vec<(&str, &str)> = Vec::new();
+        for (key, (start, end)) in hits {
+            path.clear();
+            path.extend(key.iter().map(|(n, v)| (n.as_str(), v.as_str())));
+            visit(&path, &self.doc[start..end])?;
+        }
+        Ok(())
     }
 
     /// The report stored *exactly at* `branch` (no suffix matching):
@@ -618,6 +639,12 @@ impl XmlCache {
     }
 }
 
+
+/// The branch identifier of a general-first walk path (identifiers
+/// read specific-first).
+pub(crate) fn branch_of(path: &[(&str, &str)]) -> Result<BranchId, CacheError> {
+    BranchId::new(path.iter().rev().copied()).map_err(|e| CacheError::Corrupt(e.to_string()))
+}
 
 /// One splice of a batched rebuild.
 enum Patch<'a> {

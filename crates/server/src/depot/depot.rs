@@ -23,8 +23,8 @@ use inca_wire::envelope::Envelope;
 use inca_wire::message::WireError;
 
 use crate::depot::archive::{ArchiveRule, ArchiveStore};
-use crate::depot::cache::{CacheError, XmlCache};
-use crate::depot::memo::{MemoValue, QueryMemo};
+use crate::depot::cache::{branch_of, CacheError, XmlCache};
+use crate::depot::memo::{MemoValue, ParsedMemo, QueryMemo};
 use crate::depot::rope::RopeCache;
 use crate::stats::ResponseStats;
 
@@ -99,90 +99,159 @@ pub enum CacheBackend {
     Rope,
 }
 
-/// The depot's cache storage: one of the two backends.
+/// One of the two cache representations.
 #[derive(Debug)]
-enum CacheStore {
+enum Backend {
     Splice(XmlCache),
     Rope(RopeCache),
 }
 
+/// The depot's cache storage: a backend, and the parsed form of the
+/// reports it holds. `update` and `insert_batch` are the only ways to
+/// change the backend, which is what lets them keep `parsed` honest.
+#[derive(Debug)]
+struct CacheStore {
+    backend: Backend,
+    /// What set reads ([`CacheStore::parsed_reports`]) have parsed, so
+    /// a verification pass or a status page parses only the reports
+    /// replaced since the last one. Retention: an entry is made by the
+    /// first set read that reaches a branch and lives until the next
+    /// write to that branch, whichever backend holds it; compaction
+    /// moves bytes, not reports, and never touches it. The cache never
+    /// drops a branch, so the memo holds at most
+    /// [`CacheStore::report_count`] reports, and none at all on a
+    /// depot that serves only point reads and documents
+    /// (`report`/`current`/`current_all`).
+    parsed: ParsedMemo,
+}
+
 impl CacheStore {
+    fn new(backend: Backend) -> CacheStore {
+        CacheStore { backend, parsed: ParsedMemo::default() }
+    }
+
     fn update(&mut self, branch: &BranchId, xml: &str) -> Result<(), CacheError> {
-        match self {
-            CacheStore::Splice(c) => c.update(branch, xml),
-            CacheStore::Rope(c) => c.update(branch, xml),
+        self.parsed.forget(branch);
+        match &mut self.backend {
+            Backend::Splice(c) => c.update(branch, xml),
+            Backend::Rope(c) => c.update(branch, xml),
         }
     }
 
     fn insert_batch(&mut self, items: &[(&BranchId, &str)]) -> Result<(), CacheError> {
-        match self {
-            CacheStore::Splice(c) => c.insert_batch(items),
-            CacheStore::Rope(c) => c.insert_batch(items),
+        for (branch, _) in items {
+            self.parsed.forget(branch);
+        }
+        match &mut self.backend {
+            Backend::Splice(c) => c.insert_batch(items),
+            Backend::Rope(c) => c.insert_batch(items),
         }
     }
 
     fn generation(&self) -> u64 {
-        match self {
-            CacheStore::Splice(c) => c.generation(),
-            CacheStore::Rope(c) => c.generation(),
+        match &self.backend {
+            Backend::Splice(c) => c.generation(),
+            Backend::Rope(c) => c.generation(),
         }
     }
 
     fn size_bytes(&self) -> usize {
-        match self {
-            CacheStore::Splice(c) => c.size_bytes(),
-            CacheStore::Rope(c) => c.size_bytes(),
+        match &self.backend {
+            Backend::Splice(c) => c.size_bytes(),
+            Backend::Rope(c) => c.size_bytes(),
         }
     }
 
     fn arena_bytes(&self) -> usize {
-        match self {
+        match &self.backend {
             // The splice cache *is* its document: no arena, no garbage.
-            CacheStore::Splice(c) => c.size_bytes(),
-            CacheStore::Rope(c) => c.arena_bytes(),
+            Backend::Splice(c) => c.size_bytes(),
+            Backend::Rope(c) => c.arena_bytes(),
         }
     }
 
     fn maybe_compact(&mut self) -> bool {
-        match self {
+        match &mut self.backend {
             // The splice cache carries no garbage to reclaim.
-            CacheStore::Splice(_) => false,
-            CacheStore::Rope(c) => c.maybe_compact(),
+            Backend::Splice(_) => false,
+            Backend::Rope(c) => c.maybe_compact(),
         }
     }
 
     fn report_count(&self) -> usize {
-        match self {
-            CacheStore::Splice(c) => c.report_count(),
-            CacheStore::Rope(c) => c.report_count(),
+        match &self.backend {
+            Backend::Splice(c) => c.report_count(),
+            Backend::Rope(c) => c.report_count(),
         }
     }
 
     fn subtree(&self, query: &BranchId) -> Result<Option<String>, CacheError> {
-        match self {
-            CacheStore::Splice(c) => c.subtree(query),
-            CacheStore::Rope(c) => c.subtree(query),
+        match &self.backend {
+            Backend::Splice(c) => c.subtree(query),
+            Backend::Rope(c) => c.subtree(query),
         }
     }
 
     fn reports(&self, query: Option<&BranchId>) -> Result<Vec<(BranchId, String)>, CacheError> {
-        match self {
-            CacheStore::Splice(c) => c.reports(query),
-            CacheStore::Rope(c) => c.reports(query),
+        match &self.backend {
+            Backend::Splice(c) => c.reports(query),
+            Backend::Rope(c) => c.reports(query),
         }
     }
 
+    /// Every report matching `query` (all when `None`), parsed, in
+    /// document order — the one loop behind every set read. A report
+    /// parsed since its branch was last written is shared, not parsed
+    /// again; the flag is `true` when that covered the whole set. One
+    /// unparseable cached report fails the read: the depot does not
+    /// decide for a page which rows it can do without.
+    fn parsed_reports(
+        &self,
+        query: Option<&BranchId>,
+    ) -> Result<(Vec<(BranchId, Arc<Report>)>, bool), CacheError> {
+        let mut out = Vec::new();
+        let mut all_shared = true;
+        let mut key = String::new();
+        let mut visit = |path: &[(&str, &str)], xml: &str| {
+            ParsedMemo::write_key(&mut key, path.iter().copied());
+            let report = match self.parsed.get(&key) {
+                Some(report) => report,
+                None => {
+                    all_shared = false;
+                    let parsed = Report::parse(xml).map_err(|e| {
+                        CacheError::Corrupt(format!("cached report unparseable: {e}"))
+                    })?;
+                    // The parser grows its vectors as it goes and the
+                    // tree it leaves is over twice the bytes of an
+                    // exact-capacity one. This one stays until its
+                    // branch is rewritten, so keep a clone: cloning
+                    // allocates every vector and string at its length.
+                    let report = Arc::new(parsed.clone());
+                    self.parsed.put(&key, Arc::clone(&report));
+                    report
+                }
+            };
+            out.push((branch_of(path)?, report));
+            Ok(())
+        };
+        match &self.backend {
+            Backend::Splice(c) => c.visit_reports(query, &mut visit)?,
+            Backend::Rope(c) => c.visit_reports(query, &mut visit)?,
+        }
+        Ok((out, all_shared))
+    }
+
     fn report_exact(&self, branch: &BranchId) -> Option<&str> {
-        match self {
-            CacheStore::Splice(c) => c.report_exact(branch),
-            CacheStore::Rope(c) => c.report_exact(branch),
+        match &self.backend {
+            Backend::Splice(c) => c.report_exact(branch),
+            Backend::Rope(c) => c.report_exact(branch),
         }
     }
 
     fn document(&self) -> Cow<'_, str> {
-        match self {
-            CacheStore::Splice(c) => Cow::Borrowed(c.document()),
-            CacheStore::Rope(c) => Cow::Owned((*c.document()).clone()),
+        match &self.backend {
+            Backend::Splice(c) => Cow::Borrowed(c.document()),
+            Backend::Rope(c) => Cow::Owned((*c.document()).clone()),
         }
     }
 }
@@ -336,10 +405,10 @@ impl Depot {
             &DEFAULT_LATENCY_BOUNDS,
         );
         Depot {
-            cache: match backend {
-                CacheBackend::Splice => CacheStore::Splice(XmlCache::new()),
-                CacheBackend::Rope => CacheStore::Rope(RopeCache::new()),
-            },
+            cache: CacheStore::new(match backend {
+                CacheBackend::Splice => Backend::Splice(XmlCache::new()),
+                CacheBackend::Rope => Backend::Rope(RopeCache::new()),
+            }),
             archive: ArchiveStore::with_obs(&obs),
             stats: ResponseStats::new(),
             obs,
@@ -568,9 +637,9 @@ impl Depot {
     /// The cache (read access for the querying interface), as a
     /// backend-agnostic view.
     pub fn cache(&self) -> CacheRef<'_> {
-        match &self.cache {
-            CacheStore::Splice(c) => CacheRef::Splice(c),
-            CacheStore::Rope(c) => CacheRef::Rope(c),
+        match &self.cache.backend {
+            Backend::Splice(c) => CacheRef::Splice(c),
+            Backend::Rope(c) => CacheRef::Rope(c),
         }
     }
 
@@ -609,6 +678,17 @@ impl Depot {
         let v = self.cache.reports(query)?;
         self.memo.put(generation, key, MemoValue::Reports(v.clone()));
         Ok((v, false))
+    }
+
+    /// Every cached report matching `query` (all when `None`), parsed
+    /// and shared, in the order [`Depot::query_reports`] lists the raw
+    /// XML; the flag is `true` when nothing had to be parsed. See
+    /// `CacheStore::parsed_reports`.
+    pub(crate) fn parsed_reports(
+        &self,
+        query: Option<&BranchId>,
+    ) -> Result<(Vec<(BranchId, Arc<Report>)>, bool), CacheError> {
+        self.cache.parsed_reports(query)
     }
 
     /// [`XmlCache::report_exact`] through the query memo. The returned
@@ -667,14 +747,14 @@ impl Depot {
         let archive_text = std::fs::read_to_string(dir.join("archives.txt"))?;
         let invalid =
             |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-        let cache = match backend {
-            CacheBackend::Splice => CacheStore::Splice(
+        let cache = CacheStore::new(match backend {
+            CacheBackend::Splice => Backend::Splice(
                 XmlCache::from_document(cache_doc).map_err(|e| invalid(e.to_string()))?,
             ),
-            CacheBackend::Rope => CacheStore::Rope(
+            CacheBackend::Rope => Backend::Rope(
                 RopeCache::from_document(cache_doc).map_err(|e| invalid(e.to_string()))?,
             ),
-        };
+        });
         let archive = ArchiveStore::restore(&archive_text)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         let mut depot = Depot::new();
@@ -907,6 +987,63 @@ mod tests {
         let batch_hist =
             obs.metrics().histogram_of("inca_depot_batch_insert_seconds", &[]).unwrap();
         assert_eq!(batch_hist.count(), 3);
+    }
+
+    #[test]
+    fn parsed_memo_is_bounded_by_the_cached_report_count() {
+        use crate::query::QueryInterface;
+        for backend in [CacheBackend::Splice, CacheBackend::Rope] {
+            let mut depot = Depot::with_obs_backend(Obs::new(), backend);
+            let t = Timestamp::from_secs(1_000);
+            let site: BranchId = "site=s0,vo=tg".parse().unwrap();
+            // Ten rounds of replacing every report of a fixed branch
+            // set, singly and batched, with set reads in between.
+            for round in 0..10 {
+                let envelopes: Vec<Vec<u8>> = (0..12)
+                    .map(|i| {
+                        envelope_bytes(
+                            &format!("reporter=r{i},site=s{},vo=tg", i % 3),
+                            &format!("{round}.{i}"),
+                            EnvelopeMode::Binary,
+                        )
+                    })
+                    .collect();
+                let (single, batch) = envelopes.split_at(4);
+                for envelope in single {
+                    depot.receive(envelope, t).unwrap();
+                }
+                for result in depot.receive_batch(batch, t) {
+                    result.unwrap();
+                }
+                assert_eq!(depot.cache.report_count(), 12);
+                let q = QueryInterface::new(&depot);
+                assert_eq!(q.reports(Some(&site)).unwrap().len(), 4);
+                assert!(depot.cache.parsed.len() <= 4, "{backend:?}: only what was read");
+                assert_eq!(q.reports(None).unwrap().len(), 12);
+                assert_eq!(depot.cache.parsed.len(), 12, "{backend:?}: one per cached branch");
+            }
+        }
+    }
+
+    #[test]
+    fn point_reads_and_documents_never_fill_the_parsed_memo() {
+        use crate::query::QueryInterface;
+        // What the TCP workloads read: `report`, `current`,
+        // `current_all`. None of them is a set read, so the memo stays
+        // empty and the write path keeps paying one emptiness check.
+        let mut depot = Depot::with_obs_backend(Obs::new(), CacheBackend::Rope);
+        let t = Timestamp::from_secs(1_000);
+        let branch: BranchId = "reporter=r,resource=m,vo=tg".parse().unwrap();
+        for round in 0..3 {
+            let bytes =
+                envelope_bytes(&branch.to_string(), &round.to_string(), EnvelopeMode::Binary);
+            depot.receive(&bytes, t).unwrap();
+            let q = QueryInterface::new(&depot);
+            assert!(q.report(&branch).unwrap().is_some());
+            assert!(q.current(&"vo=tg".parse().unwrap()).unwrap().is_some());
+            assert!(q.current_all().contains("<incaReport"));
+            assert_eq!(depot.cache.parsed.len(), 0);
+        }
     }
 
     #[test]

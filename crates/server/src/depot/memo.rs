@@ -13,10 +13,16 @@
 //! keeps working under the controller's read lock: many concurrent
 //! readers share one depot reference, and the memo lock is held only
 //! for a probe or a store, never across a cache walk.
+//!
+//! `ParsedMemo` beside it holds the *parsed* form of cached reports
+//! for set reads. It is invalidated the other way — by the write path,
+//! one branch at a time — because a generation stamp would throw away
+//! a thousand parsed reports every time one of them is replaced.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
-use inca_report::BranchId;
+use inca_report::{BranchId, Report};
 use parking_lot::Mutex;
 
 /// Result value of a memoizable query.
@@ -79,6 +85,72 @@ impl QueryMemo {
     /// True when nothing is memoized.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// The parsed form of cached reports: at most one shared [`Report`]
+/// per cached branch.
+///
+/// Keys are branch identifiers written out general-first, one string
+/// each rather than a cloned [`BranchId`], and readers probe with a
+/// reused buffer so a hit allocates nothing. Same locking rule as
+/// [`QueryMemo`]: the lock covers one probe or one store, never a
+/// parse. Two readers may therefore parse the same report at once;
+/// both hold the depot's read guard, so they parse the same bytes and
+/// either result may stay.
+#[derive(Debug, Default)]
+pub(crate) struct ParsedMemo {
+    entries: Mutex<HashMap<Box<str>, Arc<Report>>>,
+}
+
+impl ParsedMemo {
+    /// Writes the memo key of a branch, given as its general-first
+    /// `(name, value)` pairs ([`BranchId::hierarchy`] order, the order
+    /// a cache walk descends in), into `key`. Keys cannot collide:
+    /// names and values contain neither `,` nor `=`.
+    pub(crate) fn write_key<'p>(
+        key: &mut String,
+        hierarchy: impl Iterator<Item = (&'p str, &'p str)>,
+    ) {
+        key.clear();
+        for (i, (name, value)) in hierarchy.enumerate() {
+            if i > 0 {
+                key.push(',');
+            }
+            key.push_str(name);
+            key.push('=');
+            key.push_str(value);
+        }
+    }
+
+    /// The parsed report stored under `key`, if any.
+    pub(crate) fn get(&self, key: &str) -> Option<Arc<Report>> {
+        self.entries.lock().get(key).cloned()
+    }
+
+    /// Stores `report` as the parsed form of the branch `key` names.
+    pub(crate) fn put(&self, key: &str, report: Arc<Report>) {
+        self.entries.lock().insert(key.into(), report);
+    }
+
+    /// Drops the entry for `branch`, whose cached report is about to
+    /// change. Exclusive access (the depot's write guard) needs no
+    /// lock, and a memo no set read ever filled costs one emptiness
+    /// check.
+    pub(crate) fn forget(&mut self, branch: &BranchId) {
+        let entries = self.entries.get_mut();
+        if entries.is_empty() {
+            return;
+        }
+        let mut key = String::new();
+        ParsedMemo::write_key(&mut key, branch.hierarchy());
+        entries.remove(key.as_str());
+    }
+
+    /// Number of parsed reports held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.entries.lock().len()
     }
 }
 

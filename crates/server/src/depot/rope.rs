@@ -39,7 +39,7 @@ use inca_report::BranchId;
 use inca_xml::escape::escape_attr;
 use parking_lot::Mutex;
 
-use super::cache::{CacheError, XmlCache};
+use super::cache::{branch_of, CacheError, XmlCache};
 
 const ROOT_OPEN: &str = "<incaCache>";
 const ROOT_CLOSE: &str = "</incaCache>";
@@ -343,45 +343,61 @@ impl RopeCache {
 
     /// Collects `(branch, report_xml)` pairs under the level addressed
     /// by `query` (all reports when `None`), in document order —
-    /// byte-identical to [`XmlCache::reports`]. Document order falls
-    /// out of the canonical tree walk: a level's direct report precedes
-    /// its children, children visit in `(name, id)` order.
+    /// byte-identical to [`XmlCache::reports`]: the `visit_reports`
+    /// walk with every visit copied out.
     pub fn reports(&self, query: Option<&BranchId>) -> Result<Vec<(BranchId, String)>, CacheError> {
+        let mut out = Vec::new();
+        self.visit_reports(query, &mut |path, xml| {
+            out.push((branch_of(path)?, xml.to_string()));
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Calls `visit(path, report_xml)` for every report under the level
+    /// addressed by `query` (all reports when `None`) without copying
+    /// anything: `path` is the report's branch as general-first
+    /// `(name, id)` pairs and `report_xml` an arena slice. Document
+    /// order falls out of the canonical tree walk: a level's direct
+    /// report precedes its children, children visit in `(name, id)`
+    /// order. The first error a visit returns ends the walk.
+    pub(crate) fn visit_reports<'a, F>(
+        &'a self,
+        query: Option<&'a BranchId>,
+        visit: &mut F,
+    ) -> Result<(), CacheError>
+    where
+        F: FnMut(&[(&'a str, &'a str)], &'a str) -> Result<(), CacheError>,
+    {
         let mut path: Vec<(&str, &str)> = Vec::new();
         let node = match query {
             None => &self.root,
             Some(q) => {
-                for pair in q.hierarchy() {
-                    path.push(pair);
-                }
+                path.extend(q.hierarchy());
                 match self.node_at(q) {
                     Some(n) => n,
-                    None => return Ok(Vec::new()),
+                    None => return Ok(()),
                 }
             }
         };
-        let mut out = Vec::new();
-        self.collect(node, &mut path, &mut out)?;
-        Ok(out)
+        self.visit_node(node, &mut path, visit)
     }
 
-    fn collect<'a>(
+    fn visit_node<'a, F>(
         &'a self,
         node: &'a Node,
         path: &mut Vec<(&'a str, &'a str)>,
-        out: &mut Vec<(BranchId, String)>,
-    ) -> Result<(), CacheError> {
+        visit: &mut F,
+    ) -> Result<(), CacheError>
+    where
+        F: FnMut(&[(&'a str, &'a str)], &'a str) -> Result<(), CacheError>,
+    {
         if let Some((start, end)) = node.report {
-            // The path is general-first; branch identifiers read
-            // specific-first.
-            let pairs: Vec<(String, String)> =
-                path.iter().rev().map(|(n, v)| (n.to_string(), v.to_string())).collect();
-            let branch = BranchId::new(pairs).map_err(|e| CacheError::Corrupt(e.to_string()))?;
-            out.push((branch, self.arena[start..end].to_string()));
+            visit(path, &self.arena[start..end])?;
         }
         for ((name, id), child) in &node.children {
             path.push((name, id));
-            self.collect(child, path, out)?;
+            self.visit_node(child, path, visit)?;
             path.pop();
         }
         Ok(())

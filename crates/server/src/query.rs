@@ -134,27 +134,22 @@ impl<'a> QueryInterface<'a> {
         }
     }
 
-    /// All cached reports matching a suffix query (or every report).
-    pub fn reports(&self, query: Option<&BranchId>) -> Result<Vec<(BranchId, Report)>, CacheError> {
+    /// All cached reports matching a suffix query (or every report),
+    /// parsed. The reports are shared: the depot parses a cached report
+    /// at most once between writes to its branch, so a repeated read
+    /// costs what changed, not the size of the answer. The latency
+    /// lands under `result="hit"` when nothing had to be parsed. One
+    /// unparseable cached report fails the whole read with
+    /// [`CacheError::Corrupt`]; callers that would rather show "no
+    /// data" say so where they call.
+    pub fn reports(
+        &self,
+        query: Option<&BranchId>,
+    ) -> Result<Vec<(BranchId, Arc<Report>)>, CacheError> {
         let start = std::time::Instant::now();
-        let raw = self.depot.query_reports(query);
-        let raw = match raw {
-            Ok((value, hit)) => {
-                self.observe(hit, start.elapsed());
-                value
-            }
-            Err(e) => {
-                self.observe(false, start.elapsed());
-                return Err(e);
-            }
-        };
-        let mut out = Vec::with_capacity(raw.len());
-        for (branch, xml) in raw {
-            let report = Report::parse(&xml)
-                .map_err(|e| CacheError::Corrupt(format!("cached report unparseable: {e}")))?;
-            out.push((branch, report));
-        }
-        Ok(out)
+        let result = self.depot.parsed_reports(query);
+        self.observe(matches!(result, Ok((_, true))), start.elapsed());
+        result.map(|(reports, _all_shared)| reports)
     }
 
     /// An archived rule-fed series as graph data ("archived data is
@@ -251,6 +246,37 @@ mod tests {
         let ncsa = q.reports(Some(&"site=ncsa,vo=tg".parse().unwrap())).unwrap();
         assert_eq!(ncsa.len(), 1);
         assert_eq!(ncsa[0].0.get("resource"), Some("tg2"));
+    }
+
+    #[test]
+    fn one_unparseable_cached_report_fails_every_set_read_that_reaches_it() {
+        // A well-formed document holding a report with no header or
+        // footer: the cache loads it, no set read can parse it.
+        let dir = std::env::temp_dir().join(format!("inca-query-corrupt-{}", std::process::id()));
+        depot_with_reports().save_to(&dir).unwrap();
+        let cache = std::fs::read_to_string(dir.join("cache.xml")).unwrap();
+        let planted = cache.replacen(
+            "<branch name=\"site\" id=\"ncsa\">",
+            "<branch name=\"site\" id=\"bad\"><branch name=\"reporter\" id=\"x\">\
+             <incaReport><body/></incaReport></branch></branch><branch name=\"site\" id=\"ncsa\">",
+            1,
+        );
+        assert_ne!(planted, cache, "the fixture has an ncsa site to plant beside");
+        std::fs::write(dir.join("cache.xml"), planted).unwrap();
+        let depot = Depot::load_from(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+
+        let q = QueryInterface::new(&depot);
+        assert_eq!(depot.cache().report_count(), 4);
+        // Both entry points are one read with one policy: an error,
+        // not a shorter answer.
+        let whole = q.reports(None).unwrap_err();
+        assert!(matches!(&whole, CacheError::Corrupt(m) if m.contains("unparseable")), "{whole}");
+        assert_eq!(q.temporal().vo_reports("tg").unwrap_err(), whole);
+        assert_eq!(q.reports(Some(&"site=bad,vo=tg".parse().unwrap())).unwrap_err(), whole);
+        // Reads that do not reach the corrupt report are unaffected.
+        assert_eq!(q.reports(Some(&"site=sdsc,vo=tg".parse().unwrap())).unwrap().len(), 2);
+        assert_eq!(q.temporal().resource_reports("tg", "ncsa", "tg2").unwrap().len(), 1);
     }
 
     #[test]

@@ -25,6 +25,7 @@ use inca_obs::{StoredEvent, TraceStore};
 use inca_report::{BranchId, Report, Timestamp};
 use inca_rrd::{ConsolidationFn, GraphSeries};
 
+use crate::depot::cache::CacheError;
 use crate::depot::depot::Depot;
 
 /// Summary of one series over one time window: the "resource X's
@@ -345,33 +346,36 @@ impl<'a> TemporalQuery<'a> {
 
     /// Every cached report for one resource on one site in one VO —
     /// the row-building query behind the Figure 4 status page and the
-    /// software-stack detail page. Parse failures and cache errors
-    /// yield an empty set, matching the pages' "no data" rendering.
+    /// software-stack detail page. The same read, with the same shared
+    /// reports and the same error policy, as
+    /// [`QueryInterface::reports`](crate::QueryInterface::reports): an
+    /// unparseable cached report is an error here, and the pages turn
+    /// it into their "no data" rendering where they call. Names that
+    /// cannot form a branch identifier match nothing.
     pub fn resource_reports(
         &self,
         vo: &str,
         site: &str,
         resource: &str,
-    ) -> Vec<(BranchId, Report)> {
+    ) -> Result<Vec<(BranchId, Arc<Report>)>, CacheError> {
         let suffix = format!("resource={resource},site={site},vo={vo}");
         self.reports_with_suffix(&suffix)
     }
 
     /// Every cached report in one VO — the probe-matrix query behind
-    /// the §3.3 cross-site Grid-availability metric.
-    pub fn vo_reports(&self, vo: &str) -> Vec<(BranchId, Report)> {
+    /// the §3.3 cross-site Grid-availability metric. Errors as
+    /// [`resource_reports`](TemporalQuery::resource_reports) does.
+    pub fn vo_reports(&self, vo: &str) -> Result<Vec<(BranchId, Arc<Report>)>, CacheError> {
         self.reports_with_suffix(&format!("vo={vo}"))
     }
 
-    fn reports_with_suffix(&self, suffix: &str) -> Vec<(BranchId, Report)> {
+    fn reports_with_suffix(
+        &self,
+        suffix: &str,
+    ) -> Result<Vec<(BranchId, Arc<Report>)>, CacheError> {
         self.timed(&self.reports_hist, || {
-            let Ok(query) = suffix.parse::<BranchId>() else { return Vec::new() };
-            let Ok((raw, _hit)) = self.depot.query_reports(Some(&query)) else {
-                return Vec::new();
-            };
-            raw.into_iter()
-                .filter_map(|(branch, xml)| Some((branch, Report::parse(&xml).ok()?)))
-                .collect()
+            let Ok(query) = suffix.parse::<BranchId>() else { return Ok(Vec::new()) };
+            Ok(self.depot.parsed_reports(Some(&query))?.0)
         })
     }
 
@@ -785,13 +789,15 @@ mod tests {
         }
         let q = QueryInterface::new(&depot);
         let direct = q.reports(Some(&"resource=tg1,site=sdsc,vo=tg".parse().unwrap())).unwrap();
-        let temporal = q.temporal().resource_reports("tg", "sdsc", "tg1");
+        let temporal = q.temporal().resource_reports("tg", "sdsc", "tg1").unwrap();
         assert_eq!(temporal.len(), 1);
         assert_eq!(direct.len(), temporal.len());
         assert_eq!(direct[0].0, temporal[0].0);
         assert_eq!(direct[0].1.to_xml(), temporal[0].1.to_xml());
-        assert_eq!(q.temporal().vo_reports("tg").len(), 2);
-        assert!(q.temporal().vo_reports("other").is_empty());
+        assert!(Arc::ptr_eq(&direct[0].1, &temporal[0].1), "one parse serves both entry points");
+        assert_eq!(q.temporal().vo_reports("tg").unwrap().len(), 2);
+        assert!(q.temporal().vo_reports("other").unwrap().is_empty());
+        assert!(q.temporal().vo_reports("a,b").unwrap().is_empty(), "not a branch identifier");
     }
 
     #[test]

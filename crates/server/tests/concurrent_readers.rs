@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use inca_report::{BranchId, ReportBuilder, Timestamp};
+use inca_report::{BranchId, Report, ReportBuilder, Timestamp};
 use inca_server::{CentralizedController, ControllerConfig, Depot, QueryInterface};
 use inca_wire::message::{ClientMessage, ServerResponse};
 
@@ -19,9 +19,13 @@ fn controller() -> Arc<CentralizedController> {
 }
 
 fn message(reporter: &str, resource: &str, value: &str) -> Vec<u8> {
+    message_at(reporter, resource, value, Timestamp::from_secs(1_000))
+}
+
+fn message_at(reporter: &str, resource: &str, value: &str, gmt: Timestamp) -> Vec<u8> {
     let report = ReportBuilder::new(reporter, "1.0")
         .host(resource)
-        .gmt(Timestamp::from_secs(1_000))
+        .gmt(gmt)
         .body_value("packageVersion", value)
         .success()
         .unwrap();
@@ -63,7 +67,9 @@ fn two_readers_hold_the_depot_at_once() {
 /// N readers query continuously while one writer streams inserts and
 /// replacements through `submit`/`submit_batch`. Every read must see a
 /// self-consistent snapshot: the document parses, counts agree across
-/// query styles, and an exact-match lookup returns parseable XML.
+/// query styles, an exact-match lookup returns parseable XML, and the
+/// shared parsed reports a set read hands out are the parse of the raw
+/// XML under the same guard — never a replaced report's.
 #[test]
 fn readers_see_consistent_snapshots_during_ingest() {
     let c = controller();
@@ -89,6 +95,16 @@ fn readers_see_consistent_snapshots_during_ingest() {
                         let all = q.reports(None).expect("cache stays well-formed");
                         let count = depot.cache().report_count();
                         assert_eq!(all.len(), count, "reports() disagrees with the index count");
+                        let (raw, _) = depot.query_reports(None).expect("cache stays well-formed");
+                        assert_eq!(raw.len(), count);
+                        for ((branch, report), (raw_branch, xml)) in all.iter().zip(&raw) {
+                            assert_eq!(branch, raw_branch);
+                            let fresh = Report::parse(xml).expect("cached reports parse");
+                            assert_eq!(
+                                report.header.gmt, fresh.header.gmt,
+                                "{branch}: parsed report is not this snapshot's"
+                            );
+                        }
                         let seeded = q
                             .report(&pinned)
                             .expect("exact lookup stays well-formed")
@@ -128,8 +144,11 @@ fn readers_see_consistent_snapshots_during_ingest() {
                         assert_eq!(resp, ServerResponse::Ack);
                     }
                 } else {
+                    // Each replacement carries its own timestamp, so a
+                    // stale parse is distinguishable from a fresh one.
                     let value = format!("2.4.{i}");
-                    let (resp, _) = c.submit("h", &message("version.globus", "tg1", &value), t);
+                    let (resp, _) =
+                        c.submit("h", &message_at("version.globus", "tg1", &value, t), t);
                     assert_eq!(resp, ServerResponse::Ack);
                 }
             }
@@ -203,7 +222,9 @@ fn temporal_queries_see_consistent_windows_during_ingest() {
                         assert_eq!(incidents[0].end, t0 + 13 * 600);
                         // Report-backed temporal queries parse under
                         // concurrent cache writes.
-                        let reports = temporal.resource_reports("tg", "sdsc", "tg1");
+                        let reports = temporal
+                            .resource_reports("tg", "sdsc", "tg1")
+                            .expect("cache stays well-formed");
                         assert!(!reports.is_empty(), "seeded report never disappears");
                         // The live series may grow but never shrinks.
                         let live = temporal

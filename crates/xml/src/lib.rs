@@ -38,7 +38,7 @@ pub mod writer;
 
 pub use error::{XmlError, XmlResult};
 pub use skim::skim_balanced;
-pub use path::{IncaPath, PathStep};
+pub use path::{resolve_steps, IncaPath, PathStep, StepRef};
 pub use sax::{SaxDriver, SaxHandler};
 pub use tokenizer::{Attribute, Token, Tokenizer};
 pub use tree::{Element, Node};

@@ -43,17 +43,62 @@ impl PathStep {
 
     /// Whether `element` satisfies this step.
     pub fn matches(&self, element: &Element) -> bool {
-        if element.name != self.name {
-            return false;
+        step_matches(element, self.borrowed())
+    }
+
+    /// The step as borrowed parts, the form [`resolve_steps`] takes.
+    pub fn borrowed(&self) -> StepRef<'_> {
+        (&self.name, self.id.as_deref())
+    }
+}
+
+/// One borrowed path step: a tag name plus optional branch-ID
+/// constraint — a [`PathStep`] without the owned strings.
+pub type StepRef<'s> = (&'s str, Option<&'s str>);
+
+fn step_matches(element: &Element, (name, id): StepRef<'_>) -> bool {
+    if element.name != name {
+        return false;
+    }
+    match id {
+        None => true,
+        Some(want) => {
+            element.branch_id().as_deref() == Some(want) || element.attribute("id") == Some(want)
         }
-        match &self.id {
-            None => true,
-            Some(want) => {
-                element.branch_id().as_deref() == Some(want.as_str())
-                    || element.attribute("id") == Some(want.as_str())
+    }
+}
+
+/// Resolves borrowed steps given **root-first** (the reverse of an
+/// [`IncaPath`]'s written order) against `root`: what
+/// [`IncaPath::resolve`] does, for callers whose step IDs vary per
+/// lookup and who would otherwise format and parse a path each time.
+pub fn resolve_steps<'a>(root: &'a Element, rootward: &[StepRef<'_>]) -> Option<&'a Element> {
+    let (first, rest) = rootward.split_first()?;
+    if step_matches(root, *first) {
+        if rest.is_empty() {
+            return Some(root);
+        }
+        if let Some(found) = descend(root, rest) {
+            return Some(found);
+        }
+    }
+    // The root-most step may match anywhere below.
+    root.child_elements().find_map(|c| resolve_steps(c, rootward))
+}
+
+fn descend<'a>(element: &'a Element, steps: &[StepRef<'_>]) -> Option<&'a Element> {
+    let (next, rest) = steps.split_first()?;
+    for child in element.child_elements() {
+        if step_matches(child, *next) {
+            if rest.is_empty() {
+                return Some(child);
+            }
+            if let Some(found) = descend(child, rest) {
+                return Some(found);
             }
         }
     }
+    None
 }
 
 impl fmt::Display for PathStep {
@@ -101,41 +146,9 @@ impl IncaPath {
     /// previous match. This mirrors how the depot's query interface
     /// drills into a cached report.
     pub fn resolve<'a>(&self, root: &'a Element) -> Option<&'a Element> {
-        if self.steps.is_empty() {
-            return None;
-        }
         // Walk root-ward step first: reverse the leaf-first order.
-        let rootward: Vec<&PathStep> = self.steps.iter().rev().collect();
-        Self::search(root, &rootward)
-    }
-
-    fn search<'a>(element: &'a Element, steps: &[&PathStep]) -> Option<&'a Element> {
-        let (first, rest) = steps.split_first()?;
-        if first.matches(element) {
-            if rest.is_empty() {
-                return Some(element);
-            }
-            if let Some(found) = Self::descend(element, rest) {
-                return Some(found);
-            }
-        }
-        // The root-most step may match anywhere below.
-        element.child_elements().find_map(|c| Self::search(c, steps))
-    }
-
-    fn descend<'a>(element: &'a Element, steps: &[&PathStep]) -> Option<&'a Element> {
-        let (next, rest) = steps.split_first()?;
-        for child in element.child_elements() {
-            if next.matches(child) {
-                if rest.is_empty() {
-                    return Some(child);
-                }
-                if let Some(found) = Self::descend(child, rest) {
-                    return Some(found);
-                }
-            }
-        }
-        None
+        let rootward: Vec<StepRef<'_>> = self.steps.iter().rev().map(PathStep::borrowed).collect();
+        resolve_steps(root, &rootward)
     }
 
     /// Resolves the path and returns the matched element's text.
@@ -237,6 +250,16 @@ mod tests {
         assert_eq!(p.resolve_text(&body()).unwrap(), "998.67");
         let p: IncaPath = "value, statistic=mean, metric=latency".parse().unwrap();
         assert_eq!(p.resolve_text(&body()).unwrap(), "1.2");
+    }
+
+    #[test]
+    fn borrowed_steps_resolve_like_the_parsed_path() {
+        let root = body();
+        let steps =
+            [("metric", Some("bandwidth")), ("statistic", Some("lowerBound")), ("value", None)];
+        assert_eq!(resolve_steps(&root, &steps).unwrap().text(), "984.99");
+        assert!(resolve_steps(&root, &[("metric", Some("jitter")), ("value", None)]).is_none());
+        assert!(resolve_steps(&root, &[]).is_none());
     }
 
     #[test]

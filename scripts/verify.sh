@@ -109,6 +109,17 @@ cargo test -q -p inca-server --lib controller
 cargo test -q -p inca-obs --lib hist
 cargo test -q -p inca-report
 
+# The depot → consumer boundary: set reads share one parse per write.
+# The proptest holds every set read equal to a fresh parse of the raw
+# reports across ingest/compaction interleavings on both backends, the
+# parse-count test (a root test, so tier-1 runs it too) holds a read
+# after k replacements to exactly k parses, and `verify_resource`'s own
+# tests cover the generic signature the shared reports go through.
+echo "== consumer boundary gate =="
+cargo test -q -p inca-server --test proptest_parsed_memo
+cargo test -q --test consumer_boundary
+cargo test -q -p inca-agreement
+
 # The gated pipeline benchmark (BENCHMARK.json) is a package of its
 # own that nothing else builds: its unit tests and a smoke pass keep a
 # signature change in the crates from breaking the gate binary unseen.

@@ -68,7 +68,7 @@ fn reports_queryable_by_branch_levels() {
         // Full-branch query returns exactly one report.
         let (branch, report) = &site_reports[0];
         let single = q.report(branch).unwrap().unwrap();
-        assert_eq!(&single, report);
+        assert_eq!(single, **report);
     });
 }
 

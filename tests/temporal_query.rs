@@ -55,6 +55,7 @@ fn run_fixture(seed: u64) -> TemporalFingerprint {
             incidents: incidents.into_iter().map(|i| (i.start, i.end, i.points)).collect(),
             report_count: temporal
                 .resource_reports("teragrid", TRACKED_SITE, TRACKED_HOST)
+                .expect("the week-old cache is readable")
                 .len(),
         }
     })
