@@ -3,14 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use inca_report::{BranchId, Timestamp};
-use inca_server::Depot;
+use inca_server::{CacheBackend, Depot};
 use inca_sim::workload::{synthetic_report, PREMADE_SIZES};
 use inca_wire::envelope::{Envelope, EnvelopeMode};
 
-/// Builds a depot with ~`target` bytes of cache from 2 KB filler
-/// reports.
+/// Builds a depot on the paper's splice cache with ~`target` bytes of
+/// cache from 2 KB filler reports.
 fn depot_with_cache(target: usize) -> Depot {
-    let mut depot = Depot::new();
+    let mut depot = Depot::with_backend(CacheBackend::Splice);
     let t = Timestamp::from_secs(1_000_000);
     let mut i = 0usize;
     while depot.cache().size_bytes() < target {

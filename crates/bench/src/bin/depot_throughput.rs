@@ -1,25 +1,21 @@
-//! The tracked bench baseline for batched depot ingest and the
+//! The tracked bench baseline for the depot's write path and the
 //! parallel simulation tick (`BENCH_depot.json` at the repo root).
 //!
-//! Four measurements:
+//! Three measurements:
 //!
-//! 1. **Ingest**: N fresh reports into an M-report cache, once as M
-//!    sequential `XmlCache::update` calls (each streaming the whole
-//!    document — the paper's Figure 9 cost) and once as a single
-//!    `XmlCache::insert_batch` (one streaming pass + one splice for
-//!    the whole batch). The ratio is the amortization win.
-//! 2. **Rope vs splice**: K probe inserts into a pre-grown M-report
+//! 1. **Rope vs splice**: K probe inserts into a pre-grown M-report
 //!    cache on both write paths — `RopeCache::update` (O(report)
-//!    arena append) against the `XmlCache` splice oracle (O(cache)
-//!    memmove) — with byte-identity of the materialized documents
-//!    asserted afterwards. The full run and `--rope-gate` enforce a
-//!    10x floor on the speedup.
-//! 3. **Million ingest**: the rope path driven to a million cached
+//!    arena append) against the `XmlCache` splice oracle (one O(cache)
+//!    stream and rebuild per insert, the paper's Figure 9 cost) — with
+//!    byte-identity of the materialized documents asserted afterwards.
+//!    The full run and `--rope-gate` enforce a 10x floor on the
+//!    speedup.
+//! 2. **Million ingest**: the rope path driven to a million cached
 //!    reports, recording the cumulative time and per-decade ingest
 //!    rate at each decade — the curve the splice path cannot reach:
 //!    the oracle runs the same decades under a wall-clock budget and
 //!    records where it was abandoned.
-//! 4. **Simulation**: wall-clock for a seeded TeraGrid-scale
+//! 3. **Simulation**: wall-clock for a seeded TeraGrid-scale
 //!    deployment at 1, 2 and 8 tick threads; the determinism test
 //!    guarantees all three produce identical outcomes, so this is a
 //!    pure scaling curve. The full run enforces that multi-threaded
@@ -51,9 +47,6 @@ struct Config {
     smoke: bool,
     rope_gate_only: bool,
     out: String,
-    cache_reports: usize,
-    batch_reports: usize,
-    reps: usize,
     sim_reps: usize,
     probe_cache_reports: usize,
     probe_reports: usize,
@@ -91,9 +84,6 @@ fn parse_args() -> Config {
             smoke,
             rope_gate_only,
             out,
-            cache_reports: 200,
-            batch_reports: 50,
-            reps: 1,
             sim_reps: 1,
             probe_cache_reports: 2_000,
             probe_reports: 50,
@@ -108,9 +98,6 @@ fn parse_args() -> Config {
             smoke,
             rope_gate_only,
             out,
-            cache_reports: 1_000,
-            batch_reports: 250,
-            reps: 5,
             sim_reps: 9,
             probe_cache_reports: 100_000,
             probe_reports: 200,
@@ -145,51 +132,6 @@ fn report_set(n: usize, offset: usize) -> Vec<(BranchId, String)> {
             (branch, xml)
         })
         .collect()
-}
-
-struct IngestResult {
-    sequential: Duration,
-    batched: Duration,
-    speedup: f64,
-}
-
-fn bench_ingest(cfg: &Config) -> IngestResult {
-    let seed = report_set(cfg.cache_reports, 0);
-    let batch = report_set(cfg.batch_reports, cfg.cache_reports);
-    let mut base = XmlCache::new();
-    for (branch, xml) in &seed {
-        base.update(branch, xml).expect("seed insert");
-    }
-    let doc = base.document().to_string();
-
-    let mut best_sequential = Duration::MAX;
-    let mut best_batched = Duration::MAX;
-    for _ in 0..cfg.reps.max(1) {
-        let mut cache = XmlCache::from_document(doc.clone()).expect("valid doc");
-        let started = Instant::now();
-        for (branch, xml) in &batch {
-            cache.update(branch, xml).expect("sequential insert");
-        }
-        best_sequential = best_sequential.min(started.elapsed());
-        let sequential_doc = cache.document().to_string();
-
-        let mut cache = XmlCache::from_document(doc.clone()).expect("valid doc");
-        let items: Vec<(&BranchId, &str)> =
-            batch.iter().map(|(b, x)| (b, x.as_str())).collect();
-        let started = Instant::now();
-        cache.insert_batch(&items).expect("batched insert");
-        best_batched = best_batched.min(started.elapsed());
-        assert_eq!(
-            cache.document(),
-            sequential_doc,
-            "batched ingest must be byte-identical to sequential"
-        );
-    }
-    IngestResult {
-        sequential: best_sequential,
-        batched: best_batched,
-        speedup: best_sequential.as_secs_f64() / best_batched.as_secs_f64().max(1e-9),
-    }
 }
 
 struct RopeProbeResult {
@@ -406,23 +348,12 @@ fn main() {
     }
 
     eprintln!(
-        "depot_throughput: ingest {} into {} ({} reps), {} probes into {}, million curve to {}, sim {}s horizon at {:?} threads",
-        cfg.batch_reports,
-        cfg.cache_reports,
-        cfg.reps,
+        "depot_throughput: {} probes into {}, million curve to {}, sim {}s horizon at {:?} threads",
         cfg.probe_reports,
         cfg.probe_cache_reports,
         cfg.million_target,
         cfg.sim_horizon_secs,
         cfg.sim_threads
-    );
-
-    let ingest = bench_ingest(&cfg);
-    eprintln!(
-        "  ingest: sequential {:.3}s, batched {:.3}s, speedup {:.1}x",
-        ingest.sequential.as_secs_f64(),
-        ingest.batched.as_secs_f64(),
-        ingest.speedup
     );
 
     let probe = bench_rope_probes(&cfg);
@@ -464,19 +395,6 @@ fn main() {
         "  \"mode\": \"{}\",\n",
         if cfg.smoke { "smoke" } else { "full" }
     ));
-    json.push_str("  \"ingest\": {\n");
-    json.push_str(&format!("    \"cache_reports\": {},\n", cfg.cache_reports));
-    json.push_str(&format!("    \"batch_reports\": {},\n", cfg.batch_reports));
-    json.push_str(&format!(
-        "    \"sequential_seconds\": {:.6},\n",
-        ingest.sequential.as_secs_f64()
-    ));
-    json.push_str(&format!(
-        "    \"batched_seconds\": {:.6},\n",
-        ingest.batched.as_secs_f64()
-    ));
-    json.push_str(&format!("    \"speedup\": {:.2}\n", ingest.speedup));
-    json.push_str("  },\n");
     json.push_str("  \"rope_vs_splice\": {\n");
     json.push_str(&format!("    \"cache_reports\": {},\n", probe.cache_reports));
     json.push_str(&format!("    \"probe_reports\": {},\n", probe.probes));
@@ -544,13 +462,6 @@ fn main() {
     eprintln!("wrote {}", cfg.out);
 
     if !cfg.smoke {
-        if ingest.speedup < 3.0 {
-            eprintln!(
-                "FAIL: batched ingest speedup {:.2}x below the 3x floor",
-                ingest.speedup
-            );
-            std::process::exit(1);
-        }
         if probe.speedup < ROPE_SPEEDUP_FLOOR {
             eprintln!(
                 "FAIL: rope speedup {:.2}x below the {}x floor",

@@ -1,23 +1,15 @@
-//! The tracked bench baseline for the indexed query engine
+//! The tracked bench baseline for reads under live ingest
 //! (`BENCH_query.json` at the repo root).
 //!
 //! Two measurements:
 //!
-//! 1. **Read path**: a mixed query workload (exact-report lookups,
-//!    site subtrees, suffix report sets) against an N-report cache,
-//!    answered once by the persistent branch index and once by the
-//!    streaming full-document scan the index replaced (kept as the
-//!    debug oracle). Both paths return byte-identical answers — the
-//!    proptest oracle holds that — so the ratio is a pure O(result)
-//!    vs O(cache) comparison. Full mode gates on the index being at
-//!    least 3x faster.
-//! 2. **Contention**: N reader threads querying through the
+//! 1. **Contention**: N reader threads querying through the
 //!    controller's shared depot lock while one writer streams ingest,
 //!    for a fixed wall-clock window per N. The tracked numbers are
 //!    total reads and reads/second — the curve shows readers are not
 //!    serialized behind ingest (on a single-core host it tracks
 //!    overhead, not parallel speedup).
-//! 3. **Temporal contention**: the same reader-vs-writer shape, but
+//! 2. **Temporal contention**: the same reader-vs-writer shape, but
 //!    the readers run temporal queries (windowed aggregates, incident
 //!    scans, availability series — see `docs/QUERYING.md`) over a
 //!    seeded archive while the writer appends archive points and
@@ -30,19 +22,17 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use inca_obs::Obs;
 use inca_report::{BranchId, ReportBuilder, Timestamp};
-use inca_server::{CentralizedController, ControllerConfig, Depot, QueryInterface, XmlCache};
+use inca_server::{CentralizedController, ControllerConfig, Depot, QueryInterface};
 use inca_wire::message::{ClientMessage, ServerResponse};
 
 struct Config {
     smoke: bool,
     out: String,
     cache_reports: usize,
-    exact_lookups: usize,
-    reps: usize,
     reader_counts: Vec<usize>,
     contention_window: Duration,
     /// Archived availability series seeded for the temporal bench.
@@ -76,8 +66,6 @@ fn parse_args() -> Config {
             smoke,
             out,
             cache_reports: 200,
-            exact_lookups: 40,
-            reps: 1,
             reader_counts: vec![1, 2],
             contention_window: Duration::from_millis(100),
             temporal_series: 4,
@@ -88,129 +76,11 @@ fn parse_args() -> Config {
             smoke,
             out,
             cache_reports: 1_000,
-            exact_lookups: 200,
-            reps: 5,
             reader_counts: vec![1, 2, 4],
             contention_window: Duration::from_millis(400),
             temporal_series: 10,
             temporal_points: 144,
         }
-    }
-}
-
-/// `n` distinct branches with realistic report payloads (the same
-/// shape `depot_throughput` seeds: 10 sites x 40 resources).
-fn report_set(n: usize) -> Vec<(BranchId, String)> {
-    (0..n)
-        .map(|id| {
-            let (site, resource) = (format!("site{}", id % 10), format!("m{}", id % 40));
-            let branch: BranchId = format!(
-                "reporter=version.pkg{id},resource={resource},site={site},vo=tg"
-            )
-            .parse()
-            .expect("generated branch is well-formed");
-            let xml = ReportBuilder::new(&format!("version.pkg{id}"), "1.0")
-                .host(&resource)
-                .gmt(Timestamp::from_secs(1_089_158_400 + id as u64))
-                .body_value("packageVersion", format!("2.4.{}", id % 20))
-                .success()
-                .expect("builder succeeds")
-                .to_xml();
-            (branch, xml)
-        })
-        .collect()
-}
-
-/// The mixed read workload: every site subtree, every site report set,
-/// the unfiltered report set, and `exact_lookups` exact-report hits.
-struct Workload {
-    subtrees: Vec<BranchId>,
-    suffixes: Vec<BranchId>,
-    exacts: Vec<BranchId>,
-}
-
-fn workload(seed: &[(BranchId, String)], exact_lookups: usize) -> Workload {
-    let sites: Vec<BranchId> = (0..10)
-        .map(|s| format!("site=site{s},vo=tg").parse().expect("site query"))
-        .collect();
-    let step = (seed.len() / exact_lookups.max(1)).max(1);
-    Workload {
-        subtrees: sites.clone(),
-        suffixes: sites,
-        exacts: seed.iter().step_by(step).map(|(b, _)| b.clone()).collect(),
-    }
-}
-
-struct ReadResult {
-    indexed: Duration,
-    scan: Duration,
-    speedup: f64,
-    queries: usize,
-}
-
-fn bench_reads(cfg: &Config) -> ReadResult {
-    let seed = report_set(cfg.cache_reports);
-    let mut cache = XmlCache::new();
-    for (branch, xml) in &seed {
-        cache.update(branch, xml).expect("seed insert");
-    }
-    let w = workload(&seed, cfg.exact_lookups);
-    let queries = w.subtrees.len() + w.suffixes.len() + 1 + w.exacts.len();
-
-    let mut best_indexed = Duration::MAX;
-    let mut best_scan = Duration::MAX;
-    for _ in 0..cfg.reps.max(1) {
-        // Indexed path: what `QueryInterface` serves on a memo miss.
-        let started = Instant::now();
-        let mut indexed_bytes = 0usize;
-        for q in &w.subtrees {
-            indexed_bytes += cache.subtree(q).expect("subtree").map_or(0, |s| s.len());
-        }
-        for q in &w.suffixes {
-            for (_, xml) in cache.reports(Some(q)).expect("reports") {
-                indexed_bytes += xml.len();
-            }
-        }
-        for (_, xml) in cache.reports(None).expect("all reports") {
-            indexed_bytes += xml.len();
-        }
-        for b in &w.exacts {
-            indexed_bytes += cache.report_exact(b).expect("seeded branch present").len();
-        }
-        best_indexed = best_indexed.min(started.elapsed());
-
-        // Streaming oracle: the pre-index implementation.
-        let started = Instant::now();
-        let mut scan_bytes = 0usize;
-        for q in &w.subtrees {
-            scan_bytes += cache.scan_subtree(q).expect("subtree").map_or(0, |s| s.len());
-        }
-        for q in &w.suffixes {
-            for (_, xml) in cache.scan_reports(Some(q)).expect("reports") {
-                scan_bytes += xml.len();
-            }
-        }
-        for (_, xml) in cache.scan_reports(None).expect("all reports") {
-            scan_bytes += xml.len();
-        }
-        for b in &w.exacts {
-            let exact = cache
-                .scan_reports(Some(b))
-                .expect("reports")
-                .into_iter()
-                .find(|(bb, _)| bb == b)
-                .expect("seeded branch present");
-            scan_bytes += exact.1.len();
-        }
-        best_scan = best_scan.min(started.elapsed());
-
-        assert_eq!(indexed_bytes, scan_bytes, "index and scan answered differently");
-    }
-    ReadResult {
-        indexed: best_indexed,
-        scan: best_scan,
-        speedup: best_scan.as_secs_f64() / best_indexed.as_secs_f64().max(1e-9),
-        queries,
     }
 }
 
@@ -471,20 +341,8 @@ fn bench_temporal(cfg: &Config) -> Vec<ContentionPoint> {
 fn main() {
     let cfg = parse_args();
     eprintln!(
-        "query_throughput: {} reads over a {}-report cache ({} reps), contention at {:?} readers",
-        cfg.exact_lookups + 21,
-        cfg.cache_reports,
-        cfg.reps,
-        cfg.reader_counts
-    );
-
-    let reads = bench_reads(&cfg);
-    eprintln!(
-        "  reads: {} queries, indexed {:.6}s, scan {:.6}s, speedup {:.1}x",
-        reads.queries,
-        reads.indexed.as_secs_f64(),
-        reads.scan.as_secs_f64(),
-        reads.speedup
+        "query_throughput: a {}-report cache, contention at {:?} readers",
+        cfg.cache_reports, cfg.reader_counts
     );
 
     let contention = bench_contention(&cfg);
@@ -510,20 +368,8 @@ fn main() {
         "  \"mode\": \"{}\",\n",
         if cfg.smoke { "smoke" } else { "full" }
     ));
-    json.push_str("  \"reads\": {\n");
-    json.push_str(&format!("    \"cache_reports\": {},\n", cfg.cache_reports));
-    json.push_str(&format!("    \"queries\": {},\n", reads.queries));
-    json.push_str(&format!(
-        "    \"indexed_seconds\": {:.6},\n",
-        reads.indexed.as_secs_f64()
-    ));
-    json.push_str(&format!(
-        "    \"scan_seconds\": {:.6},\n",
-        reads.scan.as_secs_f64()
-    ));
-    json.push_str(&format!("    \"speedup\": {:.2}\n", reads.speedup));
-    json.push_str("  },\n");
     json.push_str("  \"contention\": {\n");
+    json.push_str(&format!("    \"cache_reports\": {},\n", cfg.cache_reports));
     json.push_str(&format!(
         "    \"window_seconds\": {:.3},\n",
         cfg.contention_window.as_secs_f64()
@@ -565,12 +411,4 @@ fn main() {
 
     std::fs::write(&cfg.out, &json).expect("write bench output");
     eprintln!("wrote {}", cfg.out);
-
-    if !cfg.smoke && reads.speedup < 3.0 {
-        eprintln!(
-            "FAIL: indexed read speedup {:.2}x below the 3x floor",
-            reads.speedup
-        );
-        std::process::exit(1);
-    }
 }

@@ -177,12 +177,12 @@ impl Drop for WorkerPool {
 /// Simulation options.
 #[derive(Debug, Clone)]
 pub struct SimOptions {
-    /// Envelope packing mode (Body = 2004 behaviour; Binary = the
-    /// zero-copy fast path).
+    /// Envelope packing mode (Binary = the zero-copy frame, the
+    /// default; Body = 2004 behaviour).
     pub envelope_mode: EnvelopeMode,
-    /// Depot cache backend (Splice = the paper's contiguous-string
-    /// oracle; Rope = the O(report) arena write path). Both produce
-    /// byte-identical documents for the same ingested reports.
+    /// Depot cache backend (Rope = the O(report) arena write path, the
+    /// default; Splice = the paper's contiguous-string oracle). Both
+    /// produce byte-identical documents for the same ingested reports.
     pub cache_backend: CacheBackend,
     /// Verification cadence in seconds (paper: every ten minutes), or
     /// `None` to skip periodic verification.
@@ -248,7 +248,7 @@ pub struct SimOptions {
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
-            envelope_mode: EnvelopeMode::Body,
+            envelope_mode: EnvelopeMode::Binary,
             cache_backend: CacheBackend::default(),
             verify_every_secs: Some(600),
             verify_resources: Vec::new(),

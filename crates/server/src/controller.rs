@@ -48,8 +48,9 @@ use crate::depot::depot::{Depot, DepotTiming};
 pub struct ControllerConfig {
     /// Hosts allowed to submit.
     pub allowlist: HostAllowlist,
-    /// How reports are packed for the depot (body = 2004 behaviour,
-    /// attachment = the §5.2.2 proposed optimization).
+    /// How reports are packed for the depot (binary = the zero-copy
+    /// frame and the default, body = 2004 behaviour, attachment = the
+    /// §5.2.2 proposed optimization).
     pub envelope_mode: EnvelopeMode,
 }
 
@@ -57,7 +58,7 @@ impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
             allowlist: HostAllowlist::allow_all(),
-            envelope_mode: EnvelopeMode::Body,
+            envelope_mode: EnvelopeMode::Binary,
         }
     }
 }

@@ -15,20 +15,12 @@
 //! offsets, and rebuilds the string around it. No tree is ever built,
 //! so memory stays at two document buffers regardless of report count;
 //! time is linear in cache size, which is precisely the behaviour
-//! Figure 9 measures.
+//! Figure 9 measures. Queries stream the same way.
 //!
-//! Reads no longer pay that walk. The cache keeps a persistent
-//! branch index — branch path → byte range of its `<branch>`
-//! element, plus the byte range of the report stored directly at each
-//! path — maintained *incrementally* by [`XmlCache::update`] and
-//! [`XmlCache::insert_batch`] (a splice shifts affected ranges by the
-//! byte delta; it never re-tokenizes). Queries ([`XmlCache::subtree`],
-//! [`XmlCache::reports`], [`XmlCache::report_exact`]) are O(result)
-//! lookups into that index. The original streaming implementations
-//! survive as [`XmlCache::scan_subtree`] / [`XmlCache::scan_reports`]:
-//! the debug oracle the property tests compare against, byte for byte.
+//! This is the paper's design and the byte-identity oracle for
+//! [`super::rope::RopeCache`], the cache a depot runs on by default:
+//! it wants to be obviously correct, not fast.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use inca_report::BranchId;
@@ -57,6 +49,10 @@ impl From<XmlError> for CacheError {
     }
 }
 
+fn corrupt(message: &str) -> CacheError {
+    CacheError::Corrupt(message.into())
+}
+
 /// Where an update must touch the document.
 #[derive(Debug, PartialEq, Eq)]
 enum Splice {
@@ -66,34 +62,18 @@ enum Splice {
     Insert { at: usize, missing_from: usize },
 }
 
-/// A branch path in cache-document order: general component first
-/// (`vo` outermost), exactly the nesting order of the `<branch>`
-/// elements. Suffix queries become *prefix* matches on these keys, so
-/// a `BTreeMap` range scan answers them in O(result).
-type PathKey = Vec<(String, String)>;
-
 const BRANCH_CLOSE: &str = "</branch>";
-
-/// Ceiling (bytes) under which debug builds cross-check every mutation
-/// against the streaming oracle. The check is O(cache), so running it
-/// on large documents would turn the replay experiments (Figure 8/9
-/// tests, which time `receive` for real — their smallest steady cache
-/// is 200 KB) into measurements of the oracle instead of the cache.
-/// Unit and property tests all operate far below this ceiling and keep
-/// full coverage.
-#[cfg(debug_assertions)]
-const DEBUG_ORACLE_MAX_DOC: usize = 128 * 1024;
 
 /// The single-document XML cache.
 #[derive(Debug, Clone)]
 pub struct XmlCache {
     doc: String,
-    index: BranchIndex,
+    report_count: usize,
     generation: u64,
 }
 
-/// The document alone defines cache identity; the index is derived
-/// state and the generation is mutation bookkeeping.
+/// The document alone defines cache identity; the report count is
+/// derived from it and the generation is mutation bookkeeping.
 impl PartialEq for XmlCache {
     fn eq(&self, other: &XmlCache) -> bool {
         self.doc == other.doc
@@ -111,11 +91,7 @@ impl Default for XmlCache {
 impl XmlCache {
     /// An empty cache.
     pub fn new() -> XmlCache {
-        XmlCache {
-            doc: "<incaCache></incaCache>".to_string(),
-            index: BranchIndex { root_close: "<incaCache>".len(), ..BranchIndex::default() },
-            generation: 0,
-        }
+        XmlCache { doc: "<incaCache></incaCache>".to_string(), report_count: 0, generation: 0 }
     }
 
     /// The full document (the "no branch identifier supplied" query of
@@ -124,24 +100,27 @@ impl XmlCache {
         &self.doc
     }
 
-    /// Rebuilds a cache from a persisted document, validating the root
-    /// and well-formedness (persistence support) and rebuilding the
-    /// branch index from scratch — the only place it is ever rebuilt.
+    /// Rebuilds a cache from a persisted document. The document comes
+    /// from disk, so one streaming scan checks everything updates and
+    /// queries rely on: the `<incaCache>` root and its close, every
+    /// `<branch>` carrying `name` and `id`, balanced closes, valid
+    /// branch identifiers, and canonical sibling order (a level's
+    /// report first, then child branches strictly ascending by
+    /// `(name, id)` — so no path and no direct report appears twice).
+    /// Both caches write that order, and the streaming splice stops
+    /// at the first sibling that sorts after its target, so a document
+    /// in any other order (hand-edited, a self-closing `<branch/>`, or
+    /// persisted before siblings were placed canonically) is refused
+    /// rather than restored into a cache whose updates would duplicate
+    /// branches.
     pub fn from_document(doc: String) -> Result<XmlCache, CacheError> {
-        let index = BranchIndex::build(&doc)?;
-        let cache = XmlCache { doc, index, generation: 0 };
-        // A full walk validates well-formedness and every branch id,
-        // and cross-checks the freshly built index.
-        let scanned = cache.scan_reports(None)?;
-        if scanned.len() != cache.index.reports.len() {
-            return Err(CacheError::Corrupt(
-                "branch index disagrees with a full scan".into(),
-            ));
-        }
-        if !cache.doc.starts_with("<incaCache") {
-            return Err(CacheError::Corrupt("document root is not <incaCache>".into()));
-        }
-        Ok(cache)
+        let mut report_count = 0;
+        walk(&doc, &mut |path, _| {
+            branch_of(path)?;
+            report_count += 1;
+            Ok(())
+        })?;
+        Ok(XmlCache { doc, report_count, generation: 0 })
     }
 
     /// Document size in bytes — the x-axis of Figure 9.
@@ -149,9 +128,9 @@ impl XmlCache {
         self.doc.len()
     }
 
-    /// Number of cached reports — one index entry per report, O(1).
+    /// Number of cached reports, counted as they are inserted.
     pub fn report_count(&self) -> usize {
-        self.index.reports.len()
+        self.report_count
     }
 
     /// Monotone counter bumped by every successful mutation. Memoized
@@ -163,277 +142,34 @@ impl XmlCache {
 
     /// Inserts or replaces the report stored at `branch`.
     ///
-    /// The splice point comes from the branch index (no stream walk):
-    /// an existing report's recorded byte range, or the canonical
-    /// position inside the deepest existing ancestor level (report
-    /// before child branches, branches sorted by `(name, id)` — see
-    /// `BranchIndex::insert_point`). After the splice the index
-    /// shifts affected ranges by the byte delta and records any levels
-    /// the fragment created. The report XML is spliced verbatim (it was
-    /// validated upstream by the envelope decode), so the remaining
-    /// cost is the rebuild of the document string.
+    /// Streams the document to the splice point — an existing report's
+    /// byte range, or the canonical position inside the deepest
+    /// existing ancestor level (see `find_splice`) — and rebuilds the
+    /// string around it. The report XML is spliced verbatim (it was
+    /// validated upstream by the envelope decode).
     pub fn update(&mut self, branch: &BranchId, report_xml: &str) -> Result<(), CacheError> {
-        let hierarchy: PathKey = branch
-            .hierarchy()
-            .map(|(n, v)| (n.to_string(), v.to_string()))
-            .collect();
-        let splice = match self.index.reports.get(&hierarchy) {
-            Some(&(start, end)) => Splice::Replace { start, end },
-            None => {
-                let (at, missing_from) = self.index.insert_point(&hierarchy);
-                Splice::Insert { at, missing_from }
-            }
-        };
-        #[cfg(debug_assertions)]
-        if self.doc.len() <= DEBUG_ORACLE_MAX_DOC {
-            let refs: Vec<(&str, &str)> =
-                hierarchy.iter().map(|(n, v)| (n.as_str(), v.as_str())).collect();
-            debug_assert_eq!(
-                splice,
-                Self::find_splice(&self.doc, &refs)?,
-                "indexed splice point diverged from the streaming oracle"
-            );
-        }
-        match splice {
-            Splice::Replace { start, end } => {
-                let mut out = String::with_capacity(self.doc.len() + report_xml.len());
-                out.push_str(&self.doc[..start]);
-                out.push_str(report_xml);
-                out.push_str(&self.doc[end..]);
-                self.doc = out;
-                self.index.splice_shift(start, end, report_xml.len());
-            }
-            Splice::Insert { at, missing_from } => {
-                let mut fragment = String::with_capacity(report_xml.len() + 128);
-                let mut open_lens = Vec::with_capacity(hierarchy.len() - missing_from);
-                for (name, id) in &hierarchy[missing_from..] {
-                    let before = fragment.len();
-                    fragment.push_str("<branch name=\"");
-                    fragment.push_str(&escape_attr(name));
-                    fragment.push_str("\" id=\"");
-                    fragment.push_str(&escape_attr(id));
-                    fragment.push_str("\">");
-                    open_lens.push(fragment.len() - before);
-                }
-                let report_at = fragment.len();
-                fragment.push_str(report_xml);
-                for _ in &hierarchy[missing_from..] {
-                    fragment.push_str(BRANCH_CLOSE);
-                }
-                let mut out = String::with_capacity(self.doc.len() + fragment.len());
-                out.push_str(&self.doc[..at]);
-                out.push_str(&fragment);
-                out.push_str(&self.doc[at..]);
-                self.doc = out;
-                self.index.splice_shift(at, at, fragment.len());
-                // Record the levels the fragment created: level j skips
-                // j open tags at the front and j close tags at the back.
-                let mut open_prefix = 0usize;
-                for (j, open_len) in open_lens.iter().enumerate() {
-                    let start = at + open_prefix;
-                    let end = at + fragment.len() - BRANCH_CLOSE.len() * j;
-                    self.index
-                        .branches
-                        .insert(hierarchy[..missing_from + j + 1].to_vec(), (start, end));
-                    open_prefix += open_len;
-                }
-                self.index
-                    .reports
-                    .insert(hierarchy, (at + report_at, at + report_at + report_xml.len()));
-            }
-        }
-        self.generation += 1;
-        self.debug_check_index();
-        Ok(())
+        self.insert_batch(&[(branch, report_xml)])
     }
 
-    /// Debug-build invariant: the incrementally maintained index must
-    /// equal a from-scratch rebuild after every mutation.
-    fn debug_check_index(&self) {
-        #[cfg(debug_assertions)]
-        if self.doc.len() <= DEBUG_ORACLE_MAX_DOC {
-            debug_assert_eq!(
-                self.index,
-                BranchIndex::build(&self.doc).expect("mutated cache stays well-formed"),
-                "persistent branch index diverged from a fresh rebuild"
-            );
-        }
-    }
-
-    /// Inserts or replaces `items.len()` reports in one pass.
-    ///
-    /// This is the §5.2.2 amortization: [`XmlCache::update`] streams
-    /// the whole document once *per report*, so a burst of N arrivals
-    /// costs O(N × cache). `insert_batch` streams the document exactly
-    /// once to index every splice point, then rebuilds the string
-    /// exactly once — O(N + cache) — while producing a document
-    /// **byte-identical** to applying the same updates sequentially
-    /// (the `batch_matches_sequential` property test holds this
-    /// equivalence).
-    ///
-    /// Duplicate branches within one batch behave like sequential
-    /// updates: the report lands where the first occurrence would have
-    /// inserted it, holding the content of the last occurrence. On
-    /// error (a corrupt document) the cache is left untouched.
+    /// Inserts or replaces `items.len()` reports: sequential splices
+    /// and one generation bump (none for an empty batch). A branch
+    /// named twice holds its last content. On error (a corrupt
+    /// document) the cache is left untouched.
     pub fn insert_batch(&mut self, items: &[(&BranchId, &str)]) -> Result<(), CacheError> {
-        match items {
-            [] => return Ok(()),
-            [(branch, xml)] => return self.update(branch, xml),
-            _ => {}
+        let Some(((branch, xml), rest)) = items.split_first() else {
+            return Ok(());
+        };
+        let (mut doc, inserted) = spliced(&self.doc, branch, xml)?;
+        let mut report_count = self.report_count + usize::from(inserted);
+        for (branch, xml) in rest {
+            let (next, inserted) = spliced(&doc, branch, xml)?;
+            doc = next;
+            report_count += usize::from(inserted);
         }
-        // Dedup: position follows the first occurrence of a branch,
-        // content follows the last (sequential update semantics).
-        let mut order: Vec<Vec<(String, String)>> = Vec::with_capacity(items.len());
-        let mut content: BTreeMap<Vec<(String, String)>, &str> = BTreeMap::new();
-        for (branch, xml) in items {
-            let h: Vec<(String, String)> = branch
-                .hierarchy()
-                .map(|(n, v)| (n.to_string(), v.to_string()))
-                .collect();
-            if !content.contains_key(&h) {
-                order.push(h.clone());
-            }
-            content.insert(h, xml);
-        }
-        // Every splice point comes straight from the persistent index
-        // (the pre-batch document state, exactly what a fresh stream
-        // walk used to gather).
-        let mut patches: Vec<(usize, Patch<'_>)> = Vec::new();
-        let mut inserts: BTreeMap<usize, (PathKey, InsertNode)> = BTreeMap::new();
-        for h in order {
-            let xml = content[&h];
-            if let Some(&(start, end)) = self.index.reports.get(&h) {
-                patches.push((start, Patch::Replace { end, xml, path: h }));
-                continue;
-            }
-            // Canonical position inside the deepest existing level.
-            let (at, depth) = self.index.insert_point(&h);
-            inserts
-                .entry(at)
-                .or_insert_with(|| (h[..depth].to_vec(), InsertNode::default()))
-                .1
-                .add(&h[depth..], xml);
-        }
-        let mut grown = 0usize;
-        for (at, (parent, node)) in inserts {
-            grown += node.rendered_len();
-            patches.push((at, Patch::Insert(parent, node)));
-        }
-        // Replace ranges are disjoint report subtrees and insert
-        // points sit on close tags outside them, so ordering by offset
-        // yields one well-formed left-to-right rebuild.
-        patches.sort_by_key(|(offset, _)| *offset);
-        let mut out = String::with_capacity(self.doc.len() + grown);
-        let mut cursor = 0usize;
-        // Bookkeeping for the incremental index maintenance: the byte
-        // delta of each applied patch (keyed by its old end offset, in
-        // document order), the new ranges of replaced reports, and the
-        // rendered fragments to index afterwards.
-        let mut applied: Vec<(usize, i64)> = Vec::new();
-        let mut targets: Vec<(PathKey, (usize, usize))> = Vec::new();
-        let mut fresh: Vec<(PathKey, usize, InsertNode)> = Vec::new();
-        for (offset, patch) in patches {
-            out.push_str(&self.doc[cursor..offset]);
-            match patch {
-                Patch::Replace { end, xml, path } => {
-                    let new_start = out.len();
-                    out.push_str(xml);
-                    applied.push((end, xml.len() as i64 - (end - offset) as i64));
-                    targets.push((path, (new_start, new_start + xml.len())));
-                    cursor = end;
-                }
-                Patch::Insert(parent, node) => {
-                    let new_start = out.len();
-                    node.render(&mut out);
-                    applied.push((offset, (out.len() - new_start) as i64));
-                    fresh.push((parent, new_start, node));
-                    cursor = offset;
-                }
-            }
-        }
-        out.push_str(&self.doc[cursor..]);
-        self.doc = out;
-        self.index.apply_batch(applied, targets, fresh);
+        self.doc = doc;
+        self.report_count = report_count;
         self.generation += 1;
-        self.debug_check_index();
         Ok(())
-    }
-
-    /// Streams to the point where `hierarchy` lives (or should live).
-    /// Retained as the debug oracle for the indexed splice lookup in
-    /// [`XmlCache::update`].
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    fn find_splice(doc: &str, hierarchy: &[(&str, &str)]) -> Result<Splice, CacheError> {
-        let mut tok = Tokenizer::new(doc);
-        // Consume the root start tag.
-        match tok.next_token()? {
-            Some(Token::StartTag { name, .. }) if name == "incaCache" => {}
-            other => return Err(CacheError::Corrupt(format!("bad root: {other:?}"))),
-        }
-        let mut matched = 0usize;
-        loop {
-            let pre = tok.offset();
-            let token = tok
-                .next_token()?
-                .ok_or_else(|| CacheError::Corrupt("unexpected end of cache".into()))?;
-            match token {
-                Token::StartTag { name: "branch", ref attrs, self_closing } => {
-                    let pair = (attr(attrs, "name"), attr(attrs, "id"));
-                    match hierarchy.get(matched).copied() {
-                        // Looking for a report at the current level: it
-                        // belongs *before* every child branch.
-                        None => return Ok(Splice::Insert { at: pre, missing_from: matched }),
-                        Some((n, v)) if !self_closing && pair == (Some(n), Some(v)) => {
-                            matched += 1;
-                        }
-                        Some((n, v)) => {
-                            // Siblings sit in canonical `(name, id)`
-                            // order; the first one sorting after the
-                            // target is the insertion point.
-                            if let (Some(cn), Some(cv)) = pair {
-                                if (cn, cv) > (n, v) {
-                                    return Ok(Splice::Insert {
-                                        at: pre,
-                                        missing_from: matched,
-                                    });
-                                }
-                            }
-                            if !self_closing {
-                                skip_subtree(&mut tok, "branch")?;
-                            }
-                        }
-                    }
-                }
-                Token::StartTag { name: "incaReport", self_closing, .. } => {
-                    if matched == hierarchy.len() {
-                        let end = if self_closing {
-                            tok.offset()
-                        } else {
-                            skip_subtree(&mut tok, "incaReport")?
-                        };
-                        return Ok(Splice::Replace { start: pre, end });
-                    }
-                    if !self_closing {
-                        skip_subtree(&mut tok, "incaReport")?;
-                    }
-                }
-                Token::EndTag { name: "branch" } => {
-                    // The level we were inside closed without the next
-                    // target component: insert just before this close.
-                    return Ok(Splice::Insert { at: pre, missing_from: matched });
-                }
-                Token::EndTag { name: "incaCache" } => {
-                    return Ok(Splice::Insert { at: pre, missing_from: matched });
-                }
-                Token::StartTag { self_closing, name, .. } => {
-                    // Unknown element (future cache extensions): skip.
-                    if !self_closing {
-                        skip_subtree(&mut tok, name)?;
-                    }
-                }
-                _ => {}
-            }
-        }
     }
 
     /// Returns the raw subtree for the deepest level of `query`
@@ -444,30 +180,11 @@ impl XmlCache {
     /// single report; a shorter (suffix) query yields the containing
     /// level with every report below it — "this can either be a single
     /// report, a set of related reports, or a specific portion of a
-    /// report" (§3.2.3).
-    ///
-    /// O(log cache): one index lookup, one slice copy. The matched
-    /// level is exactly the branch element at the query's path, so the
-    /// result is byte-identical to [`XmlCache::scan_subtree`] — the
-    /// property tests hold the two together.
+    /// report" (§3.2.3). Streams until the queried level closes.
     pub fn subtree(&self, query: &BranchId) -> Result<Option<String>, CacheError> {
-        let path: PathKey = query
-            .hierarchy()
-            .map(|(n, v)| (n.to_string(), v.to_string()))
-            .collect();
-        Ok(self.index.branches.get(&path).map(|&(start, end)| self.doc[start..end].to_string()))
-    }
-
-    /// The full-scan twin of [`XmlCache::subtree`]: streams the whole
-    /// document to find the queried level. Kept as the debug oracle —
-    /// O(cache), trust it over the index when they disagree.
-    pub fn scan_subtree(&self, query: &BranchId) -> Result<Option<String>, CacheError> {
         let hierarchy: Vec<(&str, &str)> = query.hierarchy().collect();
         let mut tok = Tokenizer::new(&self.doc);
-        match tok.next_token()? {
-            Some(Token::StartTag { name, .. }) if name == "incaCache" => {}
-            other => return Err(CacheError::Corrupt(format!("bad root: {other:?}"))),
-        }
+        expect_root(&mut tok)?;
         let mut matched = 0usize;
         loop {
             let pre = tok.offset();
@@ -479,9 +196,7 @@ impl XmlCache {
                 Token::StartTag { name: "branch", ref attrs, self_closing } => {
                     let pair = (attr(attrs, "name"), attr(attrs, "id"));
                     let want = hierarchy.get(matched).copied();
-                    if !self_closing
-                        && want.map_or(false, |(n, v)| pair == (Some(n), Some(v)))
-                    {
+                    if !self_closing && want.map_or(false, |(n, v)| pair == (Some(n), Some(v))) {
                         matched += 1;
                         if matched == hierarchy.len() {
                             let end = skip_subtree(&mut tok, "branch")?;
@@ -510,7 +225,7 @@ impl XmlCache {
     /// Collects `(branch, report_xml)` pairs whose branch matches the
     /// suffix `query` (or all reports when `query` is `None`). Used by
     /// data consumers. The `visit_reports` walk with every visit
-    /// copied out — byte-identical to [`XmlCache::scan_reports`].
+    /// copied out.
     pub fn reports(&self, query: Option<&BranchId>) -> Result<Vec<(BranchId, String)>, CacheError> {
         let mut out = Vec::new();
         self.visit_reports(query, &mut |path, xml| {
@@ -522,123 +237,215 @@ impl XmlCache {
 
     /// Calls `visit(path, report_xml)` for every report whose branch
     /// matches the suffix `query` (all reports when `None`), in
-    /// document order and without copying: `path` is the branch as
-    /// general-first `(name, id)` pairs, `report_xml` a slice of the
-    /// document. The first error a visit returns ends the walk.
-    ///
-    /// O(result log cache): a suffix query is a prefix of the
-    /// general-first index keys, so one `BTreeMap` range scan finds
-    /// every match; results are then ordered by byte offset, which is
-    /// document order.
+    /// document order: `path` is the branch as general-first
+    /// `(name, id)` pairs, `report_xml` a slice of the document. One
+    /// stream over the whole cache; a suffix query is a prefix of the
+    /// general-first path. The first error a visit returns ends the
+    /// walk.
     pub(crate) fn visit_reports<'a, F>(
         &'a self,
         query: Option<&BranchId>,
         visit: &mut F,
     ) -> Result<(), CacheError>
     where
-        F: FnMut(&[(&'a str, &'a str)], &'a str) -> Result<(), CacheError>,
+        F: FnMut(&[(&str, &str)], &'a str) -> Result<(), CacheError>,
     {
-        let mut hits: Vec<(&PathKey, (usize, usize))> = match query {
-            None => self.index.reports.iter().map(|(k, &v)| (k, v)).collect(),
-            Some(q) => {
-                let prefix: PathKey = q
-                    .hierarchy()
-                    .map(|(n, v)| (n.to_string(), v.to_string()))
-                    .collect();
-                self.index
-                    .reports
-                    .range(prefix.clone()..)
-                    .take_while(|(k, _)| k.starts_with(&prefix[..]))
-                    .map(|(k, &v)| (k, v))
-                    .collect()
+        let prefix: Vec<(&str, &str)> = query.map(|q| q.hierarchy().collect()).unwrap_or_default();
+        walk(&self.doc, &mut |path, xml| {
+            if path.starts_with(&prefix) {
+                visit(path, xml)?;
             }
-        };
-        hits.sort_by_key(|&(_, (start, _))| start);
-        let mut path: Vec<(&str, &str)> = Vec::new();
-        for (key, (start, end)) in hits {
-            path.clear();
-            path.extend(key.iter().map(|(n, v)| (n.as_str(), v.as_str())));
-            visit(&path, &self.doc[start..end])?;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// The report stored *exactly at* `branch` (no suffix matching):
-    /// one index lookup, no allocation beyond the probe key. `None`
-    /// when the branch holds no direct report.
+    /// the byte range an update of `branch` would replace. `None` when
+    /// the branch holds no direct report — or the document is corrupt,
+    /// which the next write or set read reports.
     pub fn report_exact(&self, branch: &BranchId) -> Option<&str> {
-        let path: PathKey = branch
-            .hierarchy()
-            .map(|(n, v)| (n.to_string(), v.to_string()))
-            .collect();
-        self.index.reports.get(&path).map(|&(start, end)| &self.doc[start..end])
-    }
-
-    /// The full-scan twin of [`XmlCache::reports`]: walks the whole
-    /// cache in one stream. Kept as the debug oracle — O(cache), trust
-    /// it over the index when they disagree.
-    pub fn scan_reports(
-        &self,
-        query: Option<&BranchId>,
-    ) -> Result<Vec<(BranchId, String)>, CacheError> {
-        let mut tok = Tokenizer::new(&self.doc);
-        match tok.next_token()? {
-            Some(Token::StartTag { name, .. }) if name == "incaCache" => {}
-            other => return Err(CacheError::Corrupt(format!("bad root: {other:?}"))),
+        let hierarchy: Vec<(&str, &str)> = branch.hierarchy().collect();
+        match find_splice(&self.doc, &hierarchy) {
+            Ok(Splice::Replace { start, end }) => Some(&self.doc[start..end]),
+            _ => None,
         }
-        let mut path: Vec<(String, String)> = Vec::new();
-        let mut out = Vec::new();
-        loop {
-            let pre = tok.offset();
-            let token = match tok.next_token()? {
-                Some(t) => t,
-                None => break,
-            };
-            match token {
-                Token::StartTag { name: "branch", ref attrs, self_closing } => {
-                    if !self_closing {
-                        match (attr(attrs, "name"), attr(attrs, "id")) {
-                            (Some(n), Some(v)) => path.push((n.to_string(), v.to_string())),
-                            _ => {
-                                return Err(CacheError::Corrupt(
-                                    "branch element missing name/id".into(),
-                                ))
-                            }
-                        }
-                    }
-                }
-                Token::EndTag { name: "branch" } => {
-                    path.pop();
-                }
-                Token::StartTag { name: "incaReport", self_closing, .. } => {
-                    let end = if self_closing {
-                        tok.offset()
-                    } else {
-                        skip_subtree(&mut tok, "incaReport")?
-                    };
-                    // The branch id is the path reversed back to
-                    // specific-first order.
-                    let pairs: Vec<(String, String)> = path.iter().rev().cloned().collect();
-                    let branch = BranchId::new(pairs)
-                        .map_err(|e| CacheError::Corrupt(e.to_string()))?;
-                    let keep = query.map_or(true, |q| branch.matches_suffix(q));
-                    if keep {
-                        out.push((branch, self.doc[pre..end].to_string()));
-                    }
-                }
-                Token::EndTag { name: "incaCache" } => break,
-                Token::StartTag { name, self_closing, .. } => {
-                    if !self_closing {
-                        skip_subtree(&mut tok, name)?;
-                    }
-                }
-                _ => {}
-            }
-        }
-        Ok(out)
     }
 }
 
+/// `doc` with `report_xml` stored at `branch`, and whether that added
+/// a report (`false`: it replaced one).
+fn spliced(doc: &str, branch: &BranchId, report_xml: &str) -> Result<(String, bool), CacheError> {
+    let hierarchy: Vec<(&str, &str)> = branch.hierarchy().collect();
+    let mut out = String::with_capacity(doc.len() + report_xml.len() + 128);
+    match find_splice(doc, &hierarchy)? {
+        Splice::Replace { start, end } => {
+            out.push_str(&doc[..start]);
+            out.push_str(report_xml);
+            out.push_str(&doc[end..]);
+            Ok((out, false))
+        }
+        Splice::Insert { at, missing_from } => {
+            out.push_str(&doc[..at]);
+            for (name, id) in &hierarchy[missing_from..] {
+                out.push_str("<branch name=\"");
+                out.push_str(&escape_attr(name));
+                out.push_str("\" id=\"");
+                out.push_str(&escape_attr(id));
+                out.push_str("\">");
+            }
+            out.push_str(report_xml);
+            for _ in &hierarchy[missing_from..] {
+                out.push_str(BRANCH_CLOSE);
+            }
+            out.push_str(&doc[at..]);
+            Ok((out, true))
+        }
+    }
+}
+
+/// Streams to the point where `hierarchy` lives (or should live).
+///
+/// Placement is canonical — a level's direct report first, then child
+/// branches sorted by `(name, id)` — which makes the document a pure
+/// function of cache *content*: two caches holding the same reports
+/// render byte-identical documents no matter what order the reports
+/// arrived in (the property the delivery-chaos tests and the rope's
+/// byte-identity rest on).
+fn find_splice(doc: &str, hierarchy: &[(&str, &str)]) -> Result<Splice, CacheError> {
+    let mut tok = Tokenizer::new(doc);
+    expect_root(&mut tok)?;
+    let mut matched = 0usize;
+    loop {
+        let pre = tok.offset();
+        let token = tok.next_token()?.ok_or_else(|| corrupt("unexpected end of cache"))?;
+        match token {
+            Token::StartTag { name: "branch", ref attrs, self_closing } => {
+                let pair = (attr(attrs, "name"), attr(attrs, "id"));
+                match hierarchy.get(matched).copied() {
+                    // Looking for a report at the current level: it
+                    // belongs *before* every child branch.
+                    None => return Ok(Splice::Insert { at: pre, missing_from: matched }),
+                    Some((n, v)) if !self_closing && pair == (Some(n), Some(v)) => {
+                        matched += 1;
+                    }
+                    Some((n, v)) => {
+                        // Siblings sit in canonical `(name, id)`
+                        // order; the first one sorting after the
+                        // target is the insertion point.
+                        if let (Some(cn), Some(cv)) = pair {
+                            if (cn, cv) > (n, v) {
+                                return Ok(Splice::Insert { at: pre, missing_from: matched });
+                            }
+                        }
+                        if !self_closing {
+                            skip_subtree(&mut tok, "branch")?;
+                        }
+                    }
+                }
+            }
+            Token::StartTag { name: "incaReport", self_closing, .. } => {
+                let end =
+                    if self_closing { tok.offset() } else { skip_subtree(&mut tok, "incaReport")? };
+                if matched == hierarchy.len() {
+                    return Ok(Splice::Replace { start: pre, end });
+                }
+            }
+            // The level we were inside (or the whole cache) closed
+            // without the next target component: insert just before
+            // this close.
+            Token::EndTag { name: "branch" } | Token::EndTag { name: "incaCache" } => {
+                return Ok(Splice::Insert { at: pre, missing_from: matched });
+            }
+            Token::StartTag { self_closing, name, .. } => {
+                // Unknown element (future cache extensions): skip.
+                if !self_closing {
+                    skip_subtree(&mut tok, name)?;
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// One open level of a [`walk`].
+#[derive(Default)]
+struct Level {
+    name: String,
+    id: String,
+    has_report: bool,
+    /// The child branch closed last; the next one must sort after it.
+    last_child: Option<(String, String)>,
+}
+
+/// Streams the whole document, calling `visit(path, report_xml)` for
+/// every report in document order (`path` general-first), and fails on
+/// anything [`XmlCache::from_document`] promises to reject.
+fn walk<'a, F>(doc: &'a str, visit: &mut F) -> Result<(), CacheError>
+where
+    F: FnMut(&[(&str, &str)], &'a str) -> Result<(), CacheError>,
+{
+    let mut tok = Tokenizer::new(doc);
+    expect_root(&mut tok)?;
+    let mut open = vec![Level::default()];
+    loop {
+        let pre = tok.offset();
+        let token = tok.next_token()?.ok_or_else(|| corrupt("unexpected end of cache"))?;
+        let level = open.last_mut().expect("the root level never pops");
+        match token {
+            Token::StartTag { name: "branch", ref attrs, self_closing } => {
+                let (Some(name), Some(id)) = (attr(attrs, "name"), attr(attrs, "id")) else {
+                    return Err(corrupt("branch element missing name/id"));
+                };
+                if self_closing {
+                    return Err(corrupt("empty <branch/> element"));
+                }
+                if let Some((n, v)) = &level.last_child {
+                    match (n.as_str(), v.as_str()).cmp(&(name, id)) {
+                        std::cmp::Ordering::Less => {}
+                        std::cmp::Ordering::Equal => {
+                            return Err(corrupt(
+                                "duplicate branch path (ids must be unique per level)",
+                            ))
+                        }
+                        std::cmp::Ordering::Greater => {
+                            return Err(corrupt("sibling branches out of canonical order"))
+                        }
+                    }
+                }
+                open.push(Level { name: name.into(), id: id.into(), ..Level::default() });
+            }
+            Token::EndTag { name: "branch" } => {
+                let closed = open.pop().expect("the root level never pops");
+                let parent = open.last_mut().ok_or_else(|| corrupt("unbalanced </branch>"))?;
+                parent.last_child = Some((closed.name, closed.id));
+            }
+            Token::StartTag { name: "incaReport", self_closing, .. } => {
+                if level.has_report {
+                    return Err(corrupt("duplicate report directly under one branch path"));
+                }
+                if level.last_child.is_some() {
+                    return Err(corrupt("report after the child branches of its level"));
+                }
+                level.has_report = true;
+                let end =
+                    if self_closing { tok.offset() } else { skip_subtree(&mut tok, "incaReport")? };
+                let path: Vec<(&str, &str)> =
+                    open[1..].iter().map(|l| (l.name.as_str(), l.id.as_str())).collect();
+                visit(&path, &doc[pre..end])?;
+            }
+            Token::EndTag { name: "incaCache" } => {
+                return if open.len() == 1 { Ok(()) } else { Err(corrupt("unclosed <branch>")) };
+            }
+            Token::StartTag { name, self_closing, .. } => {
+                // Unknown element (future cache extensions): skip.
+                if !self_closing {
+                    skip_subtree(&mut tok, name)?;
+                }
+            }
+            _ => {}
+        }
+    }
+}
 
 /// The branch identifier of a general-first walk path (identifiers
 /// read specific-first).
@@ -646,325 +453,11 @@ pub(crate) fn branch_of(path: &[(&str, &str)]) -> Result<BranchId, CacheError> {
     BranchId::new(path.iter().rev().copied()).map_err(|e| CacheError::Corrupt(e.to_string()))
 }
 
-/// One splice of a batched rebuild.
-enum Patch<'a> {
-    /// Replace an existing `<incaReport>` (range end + new bytes + the
-    /// branch path whose index entry the replacement re-points).
-    Replace { end: usize, xml: &'a str, path: PathKey },
-    /// Insert a merged fragment of new levels and reports at the
-    /// canonical position inside the branch at the carried parent path.
-    Insert(PathKey, InsertNode),
-}
-
-/// The persistent read index: the byte range of every `<branch>`
-/// element (through its close tag) keyed by general-first path, the
-/// byte range of the report stored directly at each path (the one
-/// [`XmlCache::update`] replaces), and the offset of `</incaCache>`.
-///
-/// Built from scratch only by [`XmlCache::from_document`]; every
-/// mutation maintains it incrementally by shifting affected ranges —
-/// [`BranchIndex::splice_shift`] for a single splice,
-/// [`BranchIndex::apply_batch`] for a batched rebuild.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct BranchIndex {
-    branches: BTreeMap<PathKey, (usize, usize)>,
-    reports: BTreeMap<PathKey, (usize, usize)>,
-    root_close: usize,
-}
-
-impl BranchIndex {
-    fn build(doc: &str) -> Result<BranchIndex, CacheError> {
-        let mut tok = Tokenizer::new(doc);
-        match tok.next_token()? {
-            Some(Token::StartTag { name, .. }) if name == "incaCache" => {}
-            other => return Err(CacheError::Corrupt(format!("bad root: {other:?}"))),
-        }
-        let mut path: PathKey = Vec::new();
-        let mut starts: Vec<usize> = Vec::new();
-        let mut index = BranchIndex::default();
-        loop {
-            let pre = tok.offset();
-            let token = tok
-                .next_token()?
-                .ok_or_else(|| CacheError::Corrupt("unexpected end of cache".into()))?;
-            match token {
-                Token::StartTag { name: "branch", ref attrs, self_closing } => {
-                    if !self_closing {
-                        match (attr(attrs, "name"), attr(attrs, "id")) {
-                            (Some(n), Some(v)) => {
-                                path.push((n.to_string(), v.to_string()));
-                                starts.push(pre);
-                            }
-                            _ => {
-                                return Err(CacheError::Corrupt(
-                                    "branch element missing name/id".into(),
-                                ))
-                            }
-                        }
-                    }
-                }
-                Token::EndTag { name: "branch" } => {
-                    let start = starts
-                        .pop()
-                        .ok_or_else(|| CacheError::Corrupt("unbalanced </branch>".into()))?;
-                    if index.branches.insert(path.clone(), (start, tok.offset())).is_some() {
-                        return Err(CacheError::Corrupt(
-                            "duplicate branch path (ids must be unique per level)".into(),
-                        ));
-                    }
-                    path.pop();
-                }
-                Token::StartTag { name: "incaReport", self_closing, .. } => {
-                    let end = if self_closing {
-                        tok.offset()
-                    } else {
-                        skip_subtree(&mut tok, "incaReport")?
-                    };
-                    if index.reports.insert(path.clone(), (pre, end)).is_some() {
-                        return Err(CacheError::Corrupt(
-                            "duplicate report directly under one branch path".into(),
-                        ));
-                    }
-                }
-                Token::EndTag { name: "incaCache" } => {
-                    index.root_close = pre;
-                    return Ok(index);
-                }
-                Token::StartTag { name, self_closing, .. } => {
-                    if !self_closing {
-                        skip_subtree(&mut tok, name)?;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// The canonical insertion point for `hierarchy`'s missing part:
-    /// inside the deepest existing ancestor, positioned so siblings
-    /// stay in canonical order — the level's direct report first, then
-    /// child branches sorted by `(name, id)`. Returns `(byte offset,
-    /// matched depth)`.
-    ///
-    /// Canonical placement is what makes the document a pure function
-    /// of cache *content*: two caches holding the same reports render
-    /// byte-identical documents no matter what order the reports
-    /// arrived in — the property the delivery-chaos tests pin down.
-    fn insert_point(&self, hierarchy: &[(String, String)]) -> (usize, usize) {
-        let mut depth = hierarchy.len();
-        while depth > 0 && !self.branches.contains_key(&hierarchy[..depth]) {
-            depth -= 1;
-        }
-        let parent = &hierarchy[..depth];
-        let child = hierarchy.get(depth).map(|(n, v)| (n.as_str(), v.as_str()));
-        (self.child_insert_at(parent, child), depth)
-    }
-
-    /// Where a new direct child of the (existing) level at `parent`
-    /// goes: a direct report (`child` = `None`) before every child
-    /// branch; a child branch before the first existing sibling that
-    /// sorts after it; either just before the level's close tag when
-    /// nothing follows.
-    fn child_insert_at(&self, parent: &[(String, String)], child: Option<(&str, &str)>) -> usize {
-        let mut best: Option<usize> = None;
-        let children = self
-            .branches
-            .range(parent.to_vec()..)
-            .take_while(|(key, _)| key.starts_with(parent))
-            .filter(|(key, _)| key.len() == parent.len() + 1);
-        for (key, &(start, _)) in children {
-            let (name, id) = &key[parent.len()];
-            let follows = match child {
-                None => true,
-                Some((n, v)) => (name.as_str(), id.as_str()) > (n, v),
-            };
-            if follows {
-                best = Some(best.map_or(start, |b| b.min(start)));
-            }
-        }
-        best.unwrap_or_else(|| {
-            if parent.is_empty() {
-                self.root_close
-            } else {
-                self.branches[parent].1 - BRANCH_CLOSE.len()
-            }
-        })
-    }
-
-    /// Adjusts every entry for the replacement of old byte range
-    /// `[start, end)` by `new_len` bytes (`start == end` is a pure
-    /// insert). Nesting means an entry is entirely after the splice
-    /// (shift both ends), contains it or *is* the replaced report
-    /// (shift the end only), or is entirely before (untouched); an
-    /// entry ending exactly at an insert point stays put, because the
-    /// fragment lands after it.
-    fn splice_shift(&mut self, start: usize, end: usize, new_len: usize) {
-        let delta = new_len as i64 - (end - start) as i64;
-        if delta == 0 {
-            return;
-        }
-        let shift = |x: usize| (x as i64 + delta) as usize;
-        for range in self.branches.values_mut().chain(self.reports.values_mut()) {
-            if range.0 >= end {
-                range.0 = shift(range.0);
-                range.1 = shift(range.1);
-            } else if range.1 > start {
-                range.1 = shift(range.1);
-            }
-        }
-        self.root_close = shift(self.root_close);
-    }
-
-    /// Re-coordinates the whole index after a batched rebuild.
-    ///
-    /// `applied` holds `(old end offset, byte delta)` per patch in
-    /// document order; a start coordinate moves by the deltas of every
-    /// patch ending at or before it, an end coordinate by those ending
-    /// strictly before it (an insert at the coordinate itself lands
-    /// after the entry). The replaced reports (`targets`) get their
-    /// recorded new ranges, then the rendered fragments (`fresh`) are
-    /// walked to index the levels and reports they created.
-    fn apply_batch(
-        &mut self,
-        applied: Vec<(usize, i64)>,
-        targets: Vec<(PathKey, (usize, usize))>,
-        fresh: Vec<(PathKey, usize, InsertNode)>,
-    ) {
-        let ends: Vec<usize> = applied.iter().map(|&(end, _)| end).collect();
-        let cums: Vec<i64> = applied
-            .iter()
-            .scan(0i64, |acc, &(_, delta)| {
-                *acc += delta;
-                Some(*acc)
-            })
-            .collect();
-        let before = |count: usize| if count == 0 { 0 } else { cums[count - 1] };
-        let for_start = |x: usize| before(ends.partition_point(|&e| e <= x));
-        let for_end = |x: usize| before(ends.partition_point(|&e| e < x));
-        for range in self.branches.values_mut().chain(self.reports.values_mut()) {
-            range.0 = (range.0 as i64 + for_start(range.0)) as usize;
-            range.1 = (range.1 as i64 + for_end(range.1)) as usize;
-        }
-        self.root_close = (self.root_close as i64 + for_start(self.root_close)) as usize;
-        for (path, range) in targets {
-            self.reports.insert(path, range);
-        }
-        for (mut path, start, node) in fresh {
-            node.index_into(&mut path, start, &mut self.branches, &mut self.reports);
-        }
-    }
-}
-
-/// Merged fragment for every batch item inserting at one splice
-/// point. Entries keep *canonical* order — a level's direct report
-/// first, then child branches sorted by `(name, id)` — the same order
-/// sequential updates produce now that every splice point is
-/// canonical, so batch and one-at-a-time ingestion render identical
-/// bytes.
-#[derive(Default)]
-struct InsertNode {
-    entries: Vec<InsertEntry>,
-}
-
-enum InsertEntry {
-    Report(String),
-    Branch(String, String, InsertNode),
-}
-
-impl InsertNode {
-    fn add(&mut self, rest: &[(String, String)], xml: &str) {
-        match rest.split_first() {
-            // The level's direct report precedes every child branch.
-            None => self.entries.insert(0, InsertEntry::Report(xml.to_string())),
-            Some(((n, v), tail)) => {
-                for entry in &mut self.entries {
-                    if let InsertEntry::Branch(en, ev, child) = entry {
-                        if en == n && ev == v {
-                            return child.add(tail, xml);
-                        }
-                    }
-                }
-                let mut child = InsertNode::default();
-                child.add(tail, xml);
-                let at = self
-                    .entries
-                    .iter()
-                    .position(|e| match e {
-                        InsertEntry::Report(_) => false,
-                        InsertEntry::Branch(en, ev, _) => {
-                            (en.as_str(), ev.as_str()) > (n.as_str(), v.as_str())
-                        }
-                    })
-                    .unwrap_or(self.entries.len());
-                self.entries.insert(at, InsertEntry::Branch(n.clone(), v.clone(), child));
-            }
-        }
-    }
-
-    fn rendered_len(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|e| match e {
-                InsertEntry::Report(xml) => xml.len(),
-                // Upper bound: attr escaping can only grow the tag.
-                InsertEntry::Branch(n, v, child) => {
-                    64 + 2 * (n.len() + v.len()) + child.rendered_len()
-                }
-            })
-            .sum()
-    }
-
-    fn render(&self, out: &mut String) {
-        for entry in &self.entries {
-            match entry {
-                InsertEntry::Report(xml) => out.push_str(xml),
-                InsertEntry::Branch(n, v, child) => {
-                    out.push_str("<branch name=\"");
-                    out.push_str(&escape_attr(n));
-                    out.push_str("\" id=\"");
-                    out.push_str(&escape_attr(v));
-                    out.push_str("\">");
-                    child.render(out);
-                    out.push_str(BRANCH_CLOSE);
-                }
-            }
-        }
-    }
-
-    /// Mirrors [`InsertNode::render`] offset-for-offset to index what
-    /// the fragment created: `at` is where the fragment begins in the
-    /// *new* document and `path` the branch level it rendered into.
-    /// Returns the rendered byte length.
-    fn index_into(
-        &self,
-        path: &mut PathKey,
-        at: usize,
-        branches: &mut BTreeMap<PathKey, (usize, usize)>,
-        reports: &mut BTreeMap<PathKey, (usize, usize)>,
-    ) -> usize {
-        let mut offset = at;
-        for entry in &self.entries {
-            match entry {
-                InsertEntry::Report(xml) => {
-                    reports.entry(path.clone()).or_insert((offset, offset + xml.len()));
-                    offset += xml.len();
-                }
-                InsertEntry::Branch(n, v, child) => {
-                    let open = "<branch name=\"".len()
-                        + escape_attr(n).len()
-                        + "\" id=\"".len()
-                        + escape_attr(v).len()
-                        + "\">".len();
-                    path.push((n.clone(), v.clone()));
-                    let inner = child.index_into(path, offset + open, branches, reports);
-                    let total = open + inner + BRANCH_CLOSE.len();
-                    branches.insert(path.clone(), (offset, offset + total));
-                    path.pop();
-                    offset += total;
-                }
-            }
-        }
-        offset - at
+/// Consumes the `<incaCache>` start tag.
+fn expect_root(tok: &mut Tokenizer<'_>) -> Result<(), CacheError> {
+    match tok.next_token()? {
+        Some(Token::StartTag { name: "incaCache", self_closing: false, .. }) => Ok(()),
+        other => Err(CacheError::Corrupt(format!("bad root: {other:?}"))),
     }
 }
 
@@ -1183,77 +676,8 @@ mod tests {
         assert!(cache.subtree(&b).unwrap().is_some());
     }
 
-    /// Applies `items` one `update` at a time — the reference
-    /// semantics every `insert_batch` result must match byte-for-byte.
-    fn sequential(items: &[(&BranchId, &str)]) -> XmlCache {
-        let mut cache = XmlCache::new();
-        for (b, xml) in items {
-            cache.update(b, xml).unwrap();
-        }
-        cache
-    }
-
     #[test]
-    fn batch_empty_and_singleton() {
-        let mut cache = XmlCache::new();
-        cache.insert_batch(&[]).unwrap();
-        assert_eq!(cache.report_count(), 0);
-        let b = branch("reporter=a,site=s,vo=tg");
-        let xml = report("a", "1");
-        cache.insert_batch(&[(&b, xml.as_str())]).unwrap();
-        assert_eq!(cache.document(), sequential(&[(&b, xml.as_str())]).document());
-    }
-
-    #[test]
-    fn batch_into_empty_cache_matches_sequential() {
-        let branches: Vec<BranchId> = (0..20)
-            .map(|i| branch(&format!("reporter=r{i},resource=m{},site=s{},vo=tg", i % 4, i % 2)))
-            .collect();
-        let reports: Vec<String> = (0..20).map(|i| report(&format!("r{i}"), &i.to_string())).collect();
-        let items: Vec<(&BranchId, &str)> =
-            branches.iter().zip(reports.iter().map(String::as_str)).collect();
-        let mut batched = XmlCache::new();
-        batched.insert_batch(&items).unwrap();
-        assert_eq!(batched.document(), sequential(&items).document());
-        assert_eq!(batched.report_count(), 20);
-    }
-
-    #[test]
-    fn batch_mixes_replaces_and_inserts() {
-        // Pre-populate, then batch a mix of updates to existing
-        // branches and brand-new siblings/sites.
-        let seed: Vec<BranchId> = (0..10)
-            .map(|i| branch(&format!("reporter=r{i},resource=m{},site=s0,vo=tg", i % 3)))
-            .collect();
-        let seed_reports: Vec<String> = (0..10).map(|i| report(&format!("r{i}"), "old")).collect();
-        let seed_items: Vec<(&BranchId, &str)> =
-            seed.iter().zip(seed_reports.iter().map(String::as_str)).collect();
-
-        let fresh: Vec<BranchId> = vec![
-            branch("reporter=r2,resource=m2,site=s0,vo=tg"), // replace
-            branch("reporter=new1,resource=m0,site=s0,vo=tg"), // new reporter, old resource
-            branch("reporter=new2,resource=m9,site=s0,vo=tg"), // new resource
-            branch("reporter=new3,resource=m0,site=s9,vo=tg"), // new site
-            branch("reporter=new4,resource=m1,site=s9,vo=tg"), // shares the new site
-            branch("site=s0,vo=tg"),                           // intermediate-level report
-        ];
-        let fresh_reports: Vec<String> =
-            (0..fresh.len()).map(|i| report(&format!("n{i}"), "new")).collect();
-        let fresh_items: Vec<(&BranchId, &str)> =
-            fresh.iter().zip(fresh_reports.iter().map(String::as_str)).collect();
-
-        let mut batched = sequential(&seed_items);
-        batched.insert_batch(&fresh_items).unwrap();
-        let mut reference = sequential(&seed_items);
-        for (b, xml) in &fresh_items {
-            reference.update(b, xml).unwrap();
-        }
-        assert_eq!(batched.document(), reference.document());
-        assert_eq!(batched.report_count(), 15);
-    }
-
-    #[test]
-    fn batch_duplicate_branch_last_write_wins() {
+    fn batch_is_sequential_updates_with_last_write_winning() {
         let b1 = branch("reporter=a,site=s,vo=tg");
         let b2 = branch("reporter=b,site=s,vo=tg");
         let (ra1, ra2, rb) = (report("a", "first"), report("a", "second"), report("b", "x"));
@@ -1261,79 +685,14 @@ mod tests {
             vec![(&b1, ra1.as_str()), (&b2, rb.as_str()), (&b1, ra2.as_str())];
         let mut batched = XmlCache::new();
         batched.insert_batch(&items).unwrap();
-        assert_eq!(batched.document(), sequential(&items).document());
+        let mut sequential = XmlCache::new();
+        for (b, xml) in &items {
+            sequential.update(b, xml).unwrap();
+        }
+        assert_eq!(batched.document(), sequential.document());
         assert_eq!(batched.report_count(), 2);
         assert!(batched.document().contains("second"));
         assert!(!batched.document().contains("first"));
-    }
-
-    #[test]
-    fn batch_with_escaped_branch_values_matches_sequential() {
-        let b1 = BranchId::new([("reporter", "a&b\"c"), ("vo", "t<g")]).unwrap();
-        let b2 = BranchId::new([("reporter", "plain"), ("vo", "t<g")]).unwrap();
-        let (r1, r2) = (report("x", "1"), report("y", "2"));
-        let items: Vec<(&BranchId, &str)> = vec![(&b1, r1.as_str()), (&b2, r2.as_str())];
-        let mut batched = XmlCache::new();
-        batched.insert_batch(&items).unwrap();
-        assert_eq!(batched.document(), sequential(&items).document());
-        assert!(batched.subtree(&b1).unwrap().is_some());
-        assert!(batched.subtree(&b2).unwrap().is_some());
-    }
-
-    /// Indexed reads must be byte-identical to the streaming oracle.
-    fn assert_reads_match_scan(cache: &XmlCache, queries: &[BranchId]) {
-        assert_eq!(
-            cache.reports(None).unwrap(),
-            cache.scan_reports(None).unwrap(),
-            "indexed reports(None) diverged from the scan oracle"
-        );
-        for q in queries {
-            assert_eq!(
-                cache.subtree(q).unwrap(),
-                cache.scan_subtree(q).unwrap(),
-                "indexed subtree({q}) diverged from the scan oracle"
-            );
-            assert_eq!(
-                cache.reports(Some(q)).unwrap(),
-                cache.scan_reports(Some(q)).unwrap(),
-                "indexed reports({q}) diverged from the scan oracle"
-            );
-        }
-    }
-
-    #[test]
-    fn indexed_reads_match_scan_across_mixed_mutations() {
-        let mut cache = XmlCache::new();
-        let queries: Vec<BranchId> = [
-            "vo=tg",
-            "site=sdsc,vo=tg",
-            "site=ncsa,vo=tg",
-            "resource=m1,site=sdsc,vo=tg",
-            "reporter=a,resource=m1,site=sdsc,vo=tg",
-            "reporter=zzz,resource=m1,site=sdsc,vo=tg",
-            "vo=other",
-        ]
-        .iter()
-        .map(|s| branch(s))
-        .collect();
-        cache.update(&branch("reporter=a,resource=m1,site=sdsc,vo=tg"), &report("a", "1")).unwrap();
-        assert_reads_match_scan(&cache, &queries);
-        cache.update(&branch("reporter=b,resource=m2,site=ncsa,vo=tg"), &report("b", "2")).unwrap();
-        assert_reads_match_scan(&cache, &queries);
-        let (b3, b4, b5) = (
-            branch("reporter=c,resource=m1,site=sdsc,vo=tg"),
-            branch("reporter=a,resource=m1,site=sdsc,vo=tg"),
-            branch("site=sdsc,vo=tg"),
-        );
-        let (r3, r4, r5) = (report("c", "3"), report("a", "longer-replacement"), report("s", "5"));
-        cache
-            .insert_batch(&[(&b3, r3.as_str()), (&b4, r4.as_str()), (&b5, r5.as_str())])
-            .unwrap();
-        assert_reads_match_scan(&cache, &queries);
-        cache.update(&branch("reporter=d,resource=m9,site=psc,vo=tg"), &report("d", "6")).unwrap();
-        assert_reads_match_scan(&cache, &queries);
-        // a (replaced in the batch), b, c, the site-level report, d.
-        assert_eq!(cache.report_count(), 5);
     }
 
     #[test]
@@ -1371,7 +730,7 @@ mod tests {
     }
 
     #[test]
-    fn from_document_rebuilds_a_working_index() {
+    fn from_document_restores_a_working_cache() {
         let mut cache = XmlCache::new();
         for i in 0..10 {
             let b = branch(&format!("reporter=r{i},resource=m{},site=s{},vo=tg", i % 3, i % 2));
@@ -1380,7 +739,7 @@ mod tests {
         let mut reloaded = XmlCache::from_document(cache.document().to_string()).unwrap();
         assert_eq!(reloaded.report_count(), 10);
         assert_eq!(reloaded.reports(None).unwrap(), cache.reports(None).unwrap());
-        // And the rebuilt index keeps working through further writes.
+        // And the restored cache keeps working through further writes.
         reloaded.update(&branch("reporter=r0,resource=m0,site=s0,vo=tg"), &report("r0", "new")).unwrap();
         assert!(reloaded.report_exact(&branch("reporter=r0,resource=m0,site=s0,vo=tg")).unwrap().contains("new"));
     }
@@ -1400,6 +759,41 @@ mod tests {
             XmlCache::from_document(dup_branch.to_string()),
             Err(CacheError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn from_document_rejects_malformed_documents() {
+        let cases = [
+            ("wrong root", "<notACache></notACache>"),
+            ("no root close", "<incaCache><branch name=\"vo\" id=\"tg\"></branch>"),
+            ("branch without id", "<incaCache><branch name=\"vo\"></branch></incaCache>"),
+            ("branch without name", "<incaCache><branch id=\"tg\"></branch></incaCache>"),
+            ("empty branch element", "<incaCache><branch name=\"vo\" id=\"tg\"/></incaCache>"),
+            ("unbalanced close", "<incaCache></branch></incaCache>"),
+            ("unclosed branch", "<incaCache><branch name=\"vo\" id=\"tg\"></incaCache>"),
+            ("report at the root", "<incaCache><incaReport/></incaCache>"),
+            (
+                "invalid branch identifier",
+                "<incaCache><branch name=\"vo\" id=\"a,b\"><incaReport/></branch></incaCache>",
+            ),
+            ("report never closes", "<incaCache><branch name=\"vo\" id=\"tg\"><incaReport>"),
+            (
+                "siblings out of canonical order",
+                "<incaCache><branch name=\"vo\" id=\"b\"></branch>\
+                 <branch name=\"vo\" id=\"a\"></branch></incaCache>",
+            ),
+            (
+                "report after a child branch",
+                "<incaCache><branch name=\"vo\" id=\"tg\"><branch name=\"site\" id=\"s\">\
+                 </branch><incaReport/></branch></incaCache>",
+            ),
+        ];
+        for (what, doc) in cases {
+            assert!(
+                matches!(XmlCache::from_document(doc.to_string()), Err(CacheError::Corrupt(_))),
+                "{what} must be rejected"
+            );
+        }
     }
 
     #[test]

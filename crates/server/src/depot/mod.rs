@@ -8,4 +8,3 @@ pub mod cache;
 pub mod depot;
 pub mod memo;
 pub mod rope;
-pub mod sharded;

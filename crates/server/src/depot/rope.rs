@@ -1,13 +1,12 @@
 //! The O(report) write path: an arena-backed rope over the VO document.
 //!
 //! [`super::cache::XmlCache`] deliberately reproduces §5.2.2: the cache
-//! is one contiguous XML string, so every insert memmoves bytes
-//! proportional to the whole cache (Figure 9's growth curve). PR 4 made
-//! *reads* O(result) via the persistent branch index; this module does
-//! the same for *writes*. It stays beside the splice implementation —
-//! which remains the byte-identity oracle, exactly as `scan_*` is for
-//! reads — and the depot picks between them per
-//! [`super::depot::CacheBackend`].
+//! is one contiguous XML string, so every insert and every query
+//! streams bytes proportional to the whole cache (Figure 9's growth
+//! curve). This module is the cache a depot runs on by default:
+//! O(report) writes and O(result) reads. The splice implementation
+//! stays beside it as the paper's design and the byte-identity oracle;
+//! [`super::depot::CacheBackend`] names the two.
 //!
 //! ## Representation
 //!
@@ -125,9 +124,9 @@ impl RopeCache {
     ///
     /// Validation and scanning are delegated to the splice oracle
     /// (`XmlCache::from_document` — well-formedness, branch-id checks,
-    /// index cross-check); the scanned reports are then re-inserted on
-    /// the O(report) path. One O(document) pass at load time, exactly
-    /// like the splice cache.
+    /// canonical order); the scanned reports are then re-inserted on
+    /// the O(report) path. O(document) at load time, exactly like the
+    /// splice cache.
     pub fn from_document(doc: String) -> Result<RopeCache, CacheError> {
         let oracle = XmlCache::from_document(doc)?;
         let mut rope = RopeCache::new();
@@ -177,8 +176,7 @@ impl RopeCache {
     /// Inserts or replaces `items.len()` reports with one generation
     /// bump (none for an empty batch) — the same observable semantics
     /// as [`XmlCache::insert_batch`], including duplicate handling
-    /// (last content wins). Unlike the splice cache there is no
-    /// amortization to orchestrate: each insert is already O(report).
+    /// (last content wins).
     pub fn insert_batch(&mut self, items: &[(&BranchId, &str)]) -> Result<(), CacheError> {
         if items.is_empty() {
             return Ok(());
@@ -330,8 +328,8 @@ impl RopeCache {
         };
         let (start, end) = match node.open {
             Some(span) => span,
-            // An empty query addresses the synthetic root, which the
-            // splice index never records either.
+            // An empty query addresses the synthetic root, which is
+            // not a branch level on the splice cache either.
             None => return Ok(None),
         };
         let mut out = String::new();

@@ -76,7 +76,7 @@ impl Default for FederationConfig {
     fn default() -> Self {
         FederationConfig {
             partitions: (0..8).map(|i| format!("depot{i}")).collect(),
-            envelope_mode: EnvelopeMode::Body,
+            envelope_mode: EnvelopeMode::Binary,
             cache_byte_bound: None,
             vo: "tg".into(),
         }

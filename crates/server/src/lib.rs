@@ -14,11 +14,13 @@
 //!   level-triggered readiness poller, per-connection framing state
 //!   machines, and explicit backpressure instead of thread-per-
 //!   connection — the 10k-daemon service envelope.
-//! * [`depot`] — data management, caching and archiving. The cache is
-//!   a **single XML document updated by streaming parse** — the design
-//!   the paper measures in §5.2 (insert time grows with cache size;
-//!   Figure 9). Archiving compiles Inca archival policies into
-//!   round-robin databases.
+//! * [`depot`] — data management, caching and archiving. The paper's
+//!   cache is a **single XML document updated by streaming parse**
+//!   ([`XmlCache`]: insert time grows with cache size, §5.2 and
+//!   Figure 9); a depot runs on [`RopeCache`] unless asked for that
+//!   one by name ([`CacheBackend::Splice`]), and both render the same
+//!   bytes. Archiving compiles Inca archival policies into round-robin
+//!   databases.
 //! * [`query`] — the querying interface: current data by branch
 //!   identifier (whole cache, subtree, or single report) and archived
 //!   data as labelled series.
@@ -60,7 +62,6 @@ pub use federation::{
     rollup_branch, rollup_rule, rollup_series_prefix, routing_key, Federation,
     FederationConfig, PartitionMap,
 };
-pub use depot::sharded::ShardedCache;
 pub use query::QueryInterface;
 pub use reactor::{ReactorConfig, ReactorHandle};
 pub use scrape::{MetricsScraper, SELF_SCRAPE_TIERS, SELF_SERIES_PREFIX};

@@ -13,8 +13,9 @@ use inca_obs::metrics::{Histogram, DEFAULT_LATENCY_BOUNDS};
 use inca_report::{BranchId, Report, Timestamp};
 use inca_rrd::{ConsolidationFn, GraphSeries};
 
-use crate::depot::cache::{CacheError, XmlCache};
+use crate::depot::cache::CacheError;
 use crate::depot::depot::Depot;
+use crate::depot::rope::RopeCache;
 use crate::temporal::TemporalQuery;
 
 /// Read-side facade over a depot.
@@ -23,10 +24,10 @@ pub struct QueryInterface<'a> {
     depot: &'a Depot,
     /// Cache-query latency (`inca_depot_query_seconds{result="hit"}`):
     /// queries answered from the depot's memo without touching the
-    /// cache index.
+    /// cache.
     query_hit_hist: Arc<Histogram>,
     /// Cache-query latency (`inca_depot_query_seconds{result="miss"}`):
-    /// queries that went to the cache index (and refreshed the memo).
+    /// queries that went to the cache (and refreshed the memo).
     query_miss_hist: Arc<Histogram>,
 }
 
@@ -85,14 +86,14 @@ impl<'a> QueryInterface<'a> {
     /// Merges per-partition report sets into one cache document.
     ///
     /// The federation's query plane fans a global query out to the
-    /// owning partitions and merges here: the reports are spliced into
-    /// a fresh [`XmlCache`] whose canonical sibling ordering makes the
-    /// document a pure function of report content — byte-identical to
-    /// the document a single depot holding every report would serve,
+    /// owning partitions and merges here: the reports are inserted
+    /// into a fresh [`RopeCache`] whose canonical sibling ordering makes
+    /// the document a pure function of report content — byte-identical
+    /// to the document a single depot holding every report would serve,
     /// regardless of which partition held what or in what order the
     /// sets arrive.
     pub fn merged_document(sets: &[Vec<(BranchId, String)>]) -> Result<String, CacheError> {
-        let mut cache = XmlCache::new();
+        let mut cache = RopeCache::new();
         let items: Vec<(&BranchId, &str)> =
             sets.iter().flatten().map(|(branch, xml)| (branch, xml.as_str())).collect();
         cache.insert_batch(&items)?;
@@ -118,7 +119,7 @@ impl<'a> QueryInterface<'a> {
 
     /// The single report at a full branch identifier, parsed.
     ///
-    /// One exact-match index lookup: a full identifier names exactly
+    /// One exact-match lookup: a full identifier names exactly
     /// one cached report (ids are unique per level), so there is no
     /// need to collect every deeper report that merely *ends* with the
     /// query and filter afterwards.
@@ -322,7 +323,7 @@ mod tests {
         let misses = metrics
             .histogram_of("inca_depot_query_seconds", &[("result", "miss")])
             .expect("miss series registered");
-        assert_eq!(misses.count(), 3, "first pass goes to the index");
+        assert_eq!(misses.count(), 3, "first pass goes to the cache");
         assert_eq!(hits.count(), 3, "second pass is served by the memo");
 
         // Ingest bumps the cache generation: the same queries miss

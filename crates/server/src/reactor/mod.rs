@@ -1192,6 +1192,13 @@ mod tests {
         for i in 0..burst {
             write_frame(&mut wire, &message(&format!("sw{i}"), "sw")).unwrap();
         }
+        // One more frame behind the burst: it reaches the server only
+        // after the stall, so its ack shows the connection that sat
+        // through the sweeps still accepts a new frame. It rides the
+        // writer's stream instead of being sent after the drain, when
+        // the connection is honestly idle and a client starved of CPU
+        // for one `idle_timeout` would lose that race to the sweep.
+        write_frame(&mut wire, &message("sw-final", "sw")).unwrap();
         // Push the burst without reading a reply: acks overflow the
         // pinned kernel buffers, the watermark pauses the connection,
         // and with the client reading nothing the socket goes byte-
@@ -1221,16 +1228,14 @@ mod tests {
             handle.connection_count() >= 1,
             "idle sweep reaped a backpressure-paused connection mid-drain"
         );
-        // The drain completes and the connection still works.
+        // The drain completes and the connection still works: the
+        // burst and the frame behind it are all acked and cached.
         let mut stream = stream;
-        for _ in 0..burst {
+        for _ in 0..burst + 1 {
             let reply = read_frame(&mut stream).unwrap();
             assert_eq!(ServerResponse::decode(&reply).unwrap(), ServerResponse::Ack);
         }
         writer.join().unwrap().unwrap();
-        write_frame(&mut stream, &message("sw-final", "sw")).unwrap();
-        let reply = read_frame(&mut stream).unwrap();
-        assert_eq!(ServerResponse::decode(&reply).unwrap(), ServerResponse::Ack);
         assert_eq!(
             controller.with_depot(|d| d.stats().report_count()),
             burst as u64 + 1

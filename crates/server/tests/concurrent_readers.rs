@@ -88,13 +88,14 @@ fn readers_see_consistent_snapshots_during_ingest() {
                 let pinned: BranchId =
                     "reporter=version.globus,resource=tg1,site=sdsc,vo=tg".parse().unwrap();
                 start.wait();
-                let mut reads = 0u64;
-                while !done.load(Ordering::Relaxed) {
+                // Read first, look at `done` after: the writer may
+                // finish before this thread is first scheduled.
+                loop {
                     c.with_depot(|depot| {
                         let q = QueryInterface::new(depot);
                         let all = q.reports(None).expect("cache stays well-formed");
                         let count = depot.cache().report_count();
-                        assert_eq!(all.len(), count, "reports() disagrees with the index count");
+                        assert_eq!(all.len(), count, "reports() disagrees with the report count");
                         let (raw, _) = depot.query_reports(None).expect("cache stays well-formed");
                         assert_eq!(raw.len(), count);
                         for ((branch, report), (raw_branch, xml)) in all.iter().zip(&raw) {
@@ -117,9 +118,10 @@ fn readers_see_consistent_snapshots_during_ingest() {
                             .expect("seeded site never disappears");
                         assert!(site.matches("<incaReport").count() >= 1);
                     });
-                    reads += 1;
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
-                reads
             })
         })
         .collect();
@@ -157,11 +159,9 @@ fn readers_see_consistent_snapshots_during_ingest() {
 
     writer.join().expect("writer thread panicked");
     done.store(true, Ordering::Relaxed);
-    let mut total_reads = 0;
     for r in readers {
-        total_reads += r.join().expect("reader thread panicked");
+        r.join().expect("reader thread panicked");
     }
-    assert!(total_reads > 0, "readers made progress during ingest");
     // 20 batches x 4 fresh branches + the seeded one; replacements
     // never add branches.
     assert_eq!(c.with_depot(|d| d.cache().report_count()), 81);
@@ -199,8 +199,9 @@ fn temporal_queries_see_consistent_windows_during_ingest() {
             let start = Arc::clone(&start);
             thread::spawn(move || {
                 start.wait();
-                let mut reads = 0u64;
-                while !done.load(Ordering::Relaxed) {
+                // Read first, look at `done` after: the writer may
+                // finish before this thread is first scheduled.
+                loop {
                     c.with_depot(|depot| {
                         let temporal = QueryInterface::new(depot).temporal();
                         // The closed window is immutable: the answer
@@ -232,9 +233,10 @@ fn temporal_queries_see_consistent_windows_during_ingest() {
                             .expect("series exists");
                         assert!(live.known().count() >= 24);
                     });
-                    reads += 1;
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
-                reads
             })
         })
         .collect();
@@ -266,9 +268,7 @@ fn temporal_queries_see_consistent_windows_during_ingest() {
 
     writer.join().expect("writer thread panicked");
     done.store(true, Ordering::Relaxed);
-    let mut total_reads = 0;
     for r in readers {
-        total_reads += r.join().expect("reader thread panicked");
+        r.join().expect("reader thread panicked");
     }
-    assert!(total_reads > 0, "readers made progress during ingest");
 }

@@ -38,21 +38,6 @@ fn update_strategy() -> impl Strategy<Value = Update> {
         })
 }
 
-/// One step of an arbitrary ingest history: a single update or an
-/// amortized batch.
-#[derive(Debug, Clone)]
-enum Step {
-    Update(Update),
-    Batch(Vec<Update>),
-}
-
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        update_strategy().prop_map(Step::Update),
-        proptest::collection::vec(update_strategy(), 1..8).prop_map(Step::Batch),
-    ]
-}
-
 fn branch_of(u: &Update) -> BranchId {
     format!(
         "reporter={},resource={},site={},vo=tg",
@@ -128,94 +113,6 @@ proptest! {
                 .map(|s| s.matches("<incaReport").count())
                 .unwrap_or(0);
             prop_assert_eq!(subtree_count, via_filter.len());
-        }
-    }
-
-    #[test]
-    fn batch_insert_is_byte_identical_to_sequential_updates(
-        seed in proptest::collection::vec(update_strategy(), 0..20),
-        batch in proptest::collection::vec(update_strategy(), 1..30)
-    ) {
-        // Pre-populate both caches identically, then apply `batch`
-        // once via insert_batch and once as individual updates: the
-        // amortized path must reproduce the sequential document
-        // byte-for-byte (duplicate branches, replaces, fresh levels
-        // and all).
-        let mut batched = XmlCache::new();
-        let mut reference = XmlCache::new();
-        for u in &seed {
-            batched.update(&branch_of(u), &report_xml(u)).unwrap();
-            reference.update(&branch_of(u), &report_xml(u)).unwrap();
-        }
-        let branches: Vec<BranchId> = batch.iter().map(branch_of).collect();
-        let reports: Vec<String> = batch.iter().map(report_xml).collect();
-        let items: Vec<(&BranchId, &str)> =
-            branches.iter().zip(reports.iter().map(String::as_str)).collect();
-        batched.insert_batch(&items).unwrap();
-        for (b, xml) in &items {
-            reference.update(b, xml).unwrap();
-        }
-        prop_assert_eq!(batched.document(), reference.document());
-    }
-
-    #[test]
-    fn indexed_reads_match_streaming_scan(
-        steps in proptest::collection::vec(step_strategy(), 1..12)
-    ) {
-        // The persistent branch index answers `subtree`/`reports`/
-        // `report_exact`; the streaming full-document scan is kept as
-        // the oracle. Across arbitrary interleavings of single updates
-        // and batch inserts, every indexed read must be byte-identical
-        // (content AND order) to the scan after every mutation.
-        let queries = [
-            "vo=tg",
-            "site=sdsc,vo=tg",
-            "site=ncsa,vo=tg",
-            "resource=m2,site=ncsa,vo=tg",
-            "reporter=a,resource=m1,site=sdsc,vo=tg",
-            "vo=other",
-        ];
-        let mut cache = XmlCache::new();
-        for step in &steps {
-            let touched: Vec<BranchId> = match step {
-                Step::Update(u) => {
-                    cache.update(&branch_of(u), &report_xml(u)).unwrap();
-                    vec![branch_of(u)]
-                }
-                Step::Batch(us) => {
-                    let branches: Vec<BranchId> = us.iter().map(branch_of).collect();
-                    let reports: Vec<String> = us.iter().map(report_xml).collect();
-                    let items: Vec<(&BranchId, &str)> =
-                        branches.iter().zip(reports.iter().map(String::as_str)).collect();
-                    cache.insert_batch(&items).unwrap();
-                    branches
-                }
-            };
-            prop_assert_eq!(
-                cache.reports(None).unwrap(),
-                cache.scan_reports(None).unwrap(),
-                "unfiltered reports diverged from the scan oracle"
-            );
-            for q in queries {
-                let query: BranchId = q.parse().unwrap();
-                prop_assert_eq!(
-                    cache.reports(Some(&query)).unwrap(),
-                    cache.scan_reports(Some(&query)).unwrap(),
-                    "reports({}) diverged from the scan oracle", q
-                );
-                prop_assert_eq!(
-                    cache.subtree(&query).unwrap(),
-                    cache.scan_subtree(&query).unwrap(),
-                    "subtree({}) diverged from the scan oracle", q
-                );
-            }
-            // Exact-match lookups agree with the scan on every branch
-            // this step touched (all full identifiers).
-            for branch in &touched {
-                let via_scan = cache.scan_reports(Some(branch)).unwrap();
-                let exact = via_scan.iter().find(|(b, _)| b == branch).map(|(_, x)| x.as_str());
-                prop_assert_eq!(cache.report_exact(branch), exact);
-            }
         }
     }
 

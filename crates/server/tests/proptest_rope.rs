@@ -1,12 +1,8 @@
 //! Property tests for the piece-table write path: across arbitrary
 //! interleavings of single updates and batch inserts, the rope cache
 //! must reproduce the splice [`XmlCache`] oracle byte-for-byte — the
-//! materialized document, every indexed read, and the generation
-//! counter the query memo keys on.
-//!
-//! Documents are kept small on purpose: in debug builds the splice
-//! cache cross-checks a full index rebuild for documents under 128 KB,
-//! so these cases exercise both oracles at once.
+//! materialized document, every read, and the generation counter the
+//! query memo keys on.
 
 use proptest::prelude::*;
 

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Regenerates the tracked bench baselines at the repo root:
-#   BENCH_depot.json  — batched ingest, rope-vs-splice write paths,
-#                       the million-report ingest curve, and parallel
-#                       simulation scaling
-#   BENCH_query.json  — indexed reads vs streaming scan + reader/writer
-#                       contention over the shared depot lock
+#   BENCH_depot.json  — rope-vs-splice write paths, the million-report
+#                       ingest curve, and parallel simulation scaling
+#   BENCH_query.json  — reader/writer contention over the shared depot
+#                       lock, cache and temporal queries
 #   BENCH_obs.json    — trace-store ingest throughput and forensic
 #                       query latency curves over store size
 #   BENCH_net.json    — reactor frontend connection-scale curve

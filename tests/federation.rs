@@ -105,10 +105,11 @@ fn grid_scale_global_document_matches_single_depot_oracle() {
     );
     assert!(fed.largest_cache_bytes() <= 96 * 1024);
 
-    // The oracle: one depot ingesting the identical payloads.
+    // The oracle: one depot on the paper's splice cache ingesting the
+    // identical payloads.
     let oracle = CentralizedController::new(
         ControllerConfig::default(),
-        Depot::with_obs(Obs::new()),
+        Depot::with_obs_backend(Obs::new(), CacheBackend::Splice),
     );
     for (host, payload) in &batch {
         let (response, _) = oracle.submit(host, payload, start + 3_600);
