@@ -11,11 +11,13 @@
 //! ## Representation
 //!
 //! * **Arena** — one append-only `String`. Report bytes and
-//!   pre-rendered `<branch name=… id=…>` open tags are appended once
-//!   and never moved; pieces of the document are `(start, end)` ranges
-//!   into it. Replaced reports leave their old bytes behind as garbage
+//!   pre-rendered `<branch name=… id=…>` open tags are appended once;
+//!   pieces of the document are `(start, end)` ranges into it.
+//!   Replaced reports leave their old bytes behind as garbage
 //!   ([`RopeCache::arena_bytes`] vs [`RopeCache::size_bytes`] tracks
-//!   the ratio).
+//!   the ratio) until [`RopeCache::compact`] slides the live ranges
+//!   down over it, inside the same buffer: the arena's allocation and
+//!   its resident pages last as long as the cache.
 //! * **Tree** — branch levels keyed by raw `(name, id)` in a
 //!   `BTreeMap`, which *is* the canonical sibling order the splice
 //!   cache maintains (PR 5: at every level the level's direct report
@@ -45,12 +47,16 @@ const ROOT_CLOSE: &str = "</incaCache>";
 const BRANCH_CLOSE: &str = "</branch>";
 
 /// Arenas smaller than this are never compacted — the garbage is not
-/// worth a rebuild pass.
+/// worth a compaction pass.
 pub const COMPACT_MIN_ARENA_BYTES: usize = 256 * 1024;
 
 /// Garbage fraction of the arena (`garbage_bytes / arena_bytes`) above
-/// which [`RopeCache::maybe_compact`] rebuilds.
+/// which [`RopeCache::maybe_compact`] compacts.
 pub const COMPACT_GARBAGE_RATIO: f64 = 0.5;
+
+/// A compaction releases arena capacity beyond this multiple of
+/// `max(live bytes, COMPACT_MIN_ARENA_BYTES)`, shrinking to 2 × live.
+const SHRINK_FACTOR: usize = 8;
 
 /// A byte range into the arena.
 type Span = (usize, usize);
@@ -228,41 +234,53 @@ impl RopeCache {
         self.arena.len() - self.live_arena
     }
 
-    /// Rebuilds the arena with only live spans, dropping all garbage.
+    /// Slides every live span down inside the arena's own buffer,
+    /// dropping all garbage.
     ///
-    /// One canonical tree walk copies each referenced range into a
-    /// fresh arena and rewrites the span in place — O(live bytes),
-    /// independent of how much garbage accrued. The document is
-    /// untouched (same bytes, same generation), so the materialization
-    /// cache and every `QueryMemo` entry keyed on the generation stay
-    /// valid.
+    /// Spans are moved in *arena* order (sorted by start offset, not
+    /// canonical order), so the write cursor never passes a span still
+    /// waiting to move; each one is `copy_within`'d to the cursor and
+    /// rewritten as it goes — O(live bytes), independent of how much
+    /// garbage accrued. The allocation and its resident pages are
+    /// reused, so the appends after a compaction write into memory the
+    /// process has already touched instead of faulting in a fresh
+    /// arena. The document is untouched (same bytes, same generation),
+    /// so the materialization cache and every `QueryMemo` entry keyed
+    /// on the generation stay valid.
     pub fn compact(&mut self) {
-        let old = std::mem::take(&mut self.arena);
-        let mut fresh = String::with_capacity(self.live_arena);
-        Self::compact_node(&mut self.root, &old, &mut fresh);
-        debug_assert_eq!(fresh.len(), self.live_arena, "live_arena drifted from spans");
-        self.arena = fresh;
-    }
-
-    fn compact_node(node: &mut Node, old: &str, fresh: &mut String) {
-        if let Some(span) = node.open.as_mut() {
-            *span = copy_span(*span, old, fresh);
+        let mut spans = Vec::new();
+        collect_spans(&mut self.root, &mut spans);
+        spans.sort_unstable_by_key(|span| span.0);
+        let mut bytes = std::mem::take(&mut self.arena).into_bytes();
+        let mut cursor = 0;
+        for span in spans {
+            let len = span.1 - span.0;
+            if span.0 != cursor {
+                bytes.copy_within(span.0..span.1, cursor);
+            }
+            *span = (cursor, cursor + len);
+            cursor += len;
         }
-        if let Some(span) = node.report.as_mut() {
-            *span = copy_span(*span, old, fresh);
-        }
-        for child in node.children.values_mut() {
-            Self::compact_node(child, old, fresh);
+        debug_assert_eq!(cursor, self.live_arena, "live_arena drifted from spans");
+        bytes.truncate(cursor);
+        self.arena = String::from_utf8(bytes).expect("live spans were appended as whole strs");
+        if self.arena.capacity() > SHRINK_FACTOR * cursor.max(COMPACT_MIN_ARENA_BYTES) {
+            self.arena.shrink_to(2 * cursor);
         }
     }
 
     /// Compacts when the garbage ratio crosses
     /// [`COMPACT_GARBAGE_RATIO`] on an arena of at least
-    /// [`COMPACT_MIN_ARENA_BYTES`]; returns whether a rebuild ran. The
-    /// depot calls this after every ingest, which bounds arena overhead
-    /// at ~2× the live document while keeping rebuilds rare (each one
-    /// must re-accumulate half an arena of garbage to trigger the
-    /// next).
+    /// [`COMPACT_MIN_ARENA_BYTES`]; returns whether a compaction ran.
+    /// The depot calls this after every ingest, which keeps compactions
+    /// rare (each one must re-accumulate half an arena of garbage to
+    /// trigger the next) and bounds memory: while the workload is
+    /// steady the resident arena stays at about 2 × the live bytes plus
+    /// one report (or the floor, whichever is larger), reused across
+    /// compactions. Capacity left over from a larger past is released
+    /// only when it exceeds 8 × max(live, floor), down to 2 × live — a
+    /// multiple a steady workload never reaches, so it never shrinks
+    /// and regrows.
     pub fn maybe_compact(&mut self) -> bool {
         if self.arena.len() < COMPACT_MIN_ARENA_BYTES {
             return false;
@@ -410,11 +428,13 @@ impl RopeCache {
     }
 }
 
-/// Copies one live range into the fresh arena and returns its new span.
-fn copy_span(span: Span, old: &str, fresh: &mut String) -> Span {
-    let start = fresh.len();
-    fresh.push_str(&old[span.0..span.1]);
-    (start, fresh.len())
+/// Every live span under `node` (open tags and reports), in tree order.
+fn collect_spans<'a>(node: &'a mut Node, out: &mut Vec<&'a mut Span>) {
+    out.extend(node.open.as_mut());
+    out.extend(node.report.as_mut());
+    for child in node.children.values_mut() {
+        collect_spans(child, out);
+    }
 }
 
 #[cfg(test)]
@@ -600,6 +620,70 @@ mod tests {
         assert!(rope.maybe_compact(), "past both thresholds a rebuild must run");
         assert_eq!(rope.garbage_bytes(), 0);
         assert!(rope.arena_bytes() < COMPACT_MIN_ARENA_BYTES, "arena shrank to live bytes");
+    }
+
+    /// Replaces every report under `ids` round after round with a
+    /// same-size payload until `maybe_compact` fires: one fill→compact
+    /// cycle of a steady workload.
+    fn steady_cycle(rope: &mut RopeCache, ids: &[BranchId], round: &mut usize) {
+        loop {
+            *round += 1;
+            for id in ids {
+                let xml = format!("<incaReport>{:04096}</incaReport>", *round);
+                rope.update(id, &xml).unwrap();
+                if rope.maybe_compact() {
+                    return;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compaction_reuses_the_arena_allocation() {
+        let mut rope = RopeCache::new();
+        let ids: Vec<BranchId> = (0..64).map(|i| b(&format!("reporter=r{i},site=s"))).collect();
+        let mut round = 0;
+        steady_cycle(&mut rope, &ids, &mut round);
+        steady_cycle(&mut rope, &ids, &mut round);
+        // Leave some garbage so the forced compaction has bytes to move.
+        for id in &ids[..ids.len() / 2] {
+            rope.update(id, &format!("<incaReport>{:04096}</incaReport>", 0)).unwrap();
+        }
+        let before = rope.reports(None).unwrap();
+        let (ptr, capacity) = (rope.arena.as_ptr(), rope.arena.capacity());
+        rope.compact();
+        assert_eq!(rope.garbage_bytes(), 0);
+        assert_eq!(rope.arena.as_ptr(), ptr, "compaction must not allocate a new arena");
+        assert!(rope.arena.capacity() <= capacity);
+        assert_eq!(rope.reports(None).unwrap(), before, "moved spans must read the same bytes");
+        steady_cycle(&mut rope, &ids, &mut round);
+        assert_eq!(rope.arena.as_ptr(), ptr, "a steady cycle must refill the same buffer");
+        assert!(rope.arena.capacity() <= capacity, "a steady cycle must not grow the arena");
+    }
+
+    #[test]
+    fn compaction_releases_capacity_once_live_bytes_collapse() {
+        let (mut rope, mut oracle) = pair();
+        let ids: Vec<BranchId> = (0..4).map(|i| b(&format!("reporter=r{i},site=s"))).collect();
+        let big = format!("<incaReport>{}</incaReport>", "x".repeat(1 << 20));
+        for id in &ids {
+            rope.update(id, &big).unwrap();
+        }
+        for id in &ids {
+            let small = format!("<incaReport>{}</incaReport>", "y".repeat(1 << 10));
+            rope.update(id, &small).unwrap();
+            oracle.update(id, &small).unwrap();
+        }
+        assert!(rope.arena.capacity() > 4 << 20);
+        assert!(rope.maybe_compact());
+        let live = rope.arena_bytes();
+        assert!(
+            rope.arena.capacity() <= SHRINK_FACTOR * live.max(COMPACT_MIN_ARENA_BYTES),
+            "capacity {} left above the bound for {live} live bytes",
+            rope.arena.capacity()
+        );
+        assert!(rope.arena.capacity() <= 2 * live);
+        assert_eq!(*rope.document(), *oracle.document());
     }
 
     #[test]

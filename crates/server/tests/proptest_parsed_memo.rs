@@ -53,7 +53,7 @@ enum Step {
     Receive(Item),
     Batch(Vec<Item>),
     /// Replace one big report with a small one: on the rope that trips
-    /// the garbage-ratio threshold and rebuilds the arena mid-ingest.
+    /// the garbage-ratio threshold and compacts the arena mid-ingest.
     Compact,
 }
 
@@ -158,7 +158,7 @@ proptest! {
             if backend == CacheBackend::Rope {
                 let compactions =
                     obs.metrics().counter_value("inca_depot_compactions_total", &[]).unwrap_or(0);
-                prop_assert!(compactions >= forced, "every Compact step must rebuild the arena");
+                prop_assert!(compactions >= forced, "every Compact step must compact the arena");
             }
         }
     }

@@ -37,18 +37,21 @@ fn update_strategy() -> impl Strategy<Value = Update> {
         })
 }
 
-/// One step of an arbitrary ingest history: a single update or an
-/// amortized batch.
+/// One step of an arbitrary ingest history: a single update, an
+/// amortized batch, or a forced compaction of the rope's arena (the
+/// arenas here never reach the `maybe_compact` floor).
 #[derive(Debug, Clone)]
 enum Step {
     Update(Update),
     Batch(Vec<Update>),
+    Compact,
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
         update_strategy().prop_map(Step::Update),
         proptest::collection::vec(update_strategy(), 1..8).prop_map(Step::Batch),
+        Just(Step::Compact),
     ]
 }
 
@@ -86,6 +89,11 @@ fn apply(rope: &mut RopeCache, oracle: &mut XmlCache, step: &Step) {
                 .collect();
             rope.insert_batch(&items).unwrap();
             oracle.insert_batch(&items).unwrap();
+        }
+        // Moves bytes, not reports: the oracle has nothing to mirror.
+        Step::Compact => {
+            rope.compact();
+            assert_eq!(rope.garbage_bytes(), 0, "compaction left garbage behind");
         }
     }
 }
