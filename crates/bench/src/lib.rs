@@ -1,4 +1,4 @@
-//! Shared helpers for the bench crate (bin targets + Criterion benches).
+//! Shared helpers for the bench crate's binaries.
 
 use std::sync::Arc;
 

@@ -87,9 +87,8 @@ impl Transport for DeferredTransport {
 }
 
 /// Persistent tick workers, spawned once per run and reused for every
-/// simulated tick (`BENCH_depot.json`'s scaling curve used to pay a
-/// `thread::scope` spawn *per tick*, which inverted it — more threads,
-/// more spawns, slower run).
+/// simulated tick (a `thread::scope` spawn *per tick* inverted the
+/// scaling — more threads, more spawns, slower run).
 ///
 /// Daemons move: a tick hands *chunks* of due `(index, daemon)` pairs
 /// to the pool over a channel, workers pull from the shared queue
@@ -98,16 +97,15 @@ impl Transport for DeferredTransport {
 /// daemon is internally sequential, so which worker runs it can only
 /// change wall-clock time, never output.
 ///
-/// Chunking is the task-granularity fix for the anti-scaling the depot
-/// bench used to show (8 threads *slower* than 1): a typical tick has
+/// Chunking is the task-granularity fix for an anti-scaling measured
+/// earlier (8 threads *slower* than 1): a typical tick has
 /// ~10 due daemons each firing for tens of microseconds, so one
 /// channel round-trip + queue-mutex handoff *per daemon* dominated the
 /// fired work and grew with thread count. A chunk must carry enough
 /// fire-work to amortize its ~10 µs handoff, and the pool only engages
-/// at all when every worker can be handed a full chunk — the depot
-/// bench showed that anything finer (including the TeraGrid
-/// deployment's 10-daemon ticks) runs faster inline on every thread
-/// count.
+/// at all when every worker can be handed a full chunk — anything
+/// finer (including the TeraGrid deployment's 10-daemon ticks) measured
+/// faster inline on every thread count.
 const MIN_DAEMONS_PER_TASK: usize = 32;
 
 struct WorkerPool {

@@ -1128,8 +1128,8 @@ mod tests {
 
     #[test]
     // Slow (multi-megabyte cache rebuilds): excluded from the default
-    // `cargo test -q` run now that the bench binary (`depot_throughput`)
-    // owns the scaling measurement. scripts/verify.sh opts back in via
+    // `cargo test -q` run, where `tests/paper_check.rs` holds Figure 9's
+    // scaling on a reduced sweep. scripts/verify.sh opts back in via
     // `cargo test -p inca-server --lib -- --ignored`.
     #[ignore = "slow Figure 9 scaling check; run with --ignored (scripts/verify.sh does)"]
     fn insert_time_grows_with_cache_size() {

@@ -6,21 +6,22 @@
 #      must exist, and markdown source-file links stay honest;
 #   3. every inca_* metric name registered in code must appear in
 #      docs/OBSERVABILITY.md, so the metric reference cannot rot;
-#   4. the temporal query layer stays documented: every public
-#      TemporalQuery method must appear in docs/QUERYING.md, every
-#      kind label of its latency histogram in docs/OBSERVABILITY.md,
-#      and every bench binary the cookbook tells the reader to run
-#      must actually exist;
-#   5. the trace store's reader surface stays documented: every public
+#   4. every bench binary a command in a tracked *.md file runs
+#      (`... --bin NAME`) must exist; CHANGES.md is history and is
+#      not checked;
+#   5. the temporal query layer stays documented: every public
+#      TemporalQuery method must appear in docs/QUERYING.md, and every
+#      kind label of its latency histogram in docs/OBSERVABILITY.md;
+#   6. the trace store's reader surface stays documented: every public
 #      method of the durable TraceStore must appear in
 #      docs/OBSERVABILITY.md;
-#   6. the O(report) write path stays documented: every public RopeCache
+#   7. the O(report) write path stays documented: every public RopeCache
 #      method must appear in docs/PERFORMANCE.md, and every public
 #      binframe function in ARCHITECTURE.md;
-#   7. the reactor frontend stays documented: every public method of
+#   8. the reactor frontend stays documented: every public method of
 #      the readiness reactor (crates/server/src/reactor/) must appear
 #      in ARCHITECTURE.md;
-#   8. the federated depot tier stays documented: every public method
+#   9. the federated depot tier stays documented: every public method
 #      and free function of crates/server/src/federation/ must appear
 #      in ARCHITECTURE.md.
 set -e
@@ -62,12 +63,26 @@ for name in $(grep -rhoE '"inca_[a-z0-9_]+"' crates src tests --include='*.rs' |
 done
 [ "$fail" -eq 0 ] || exit 1
 
+echo "== bench binaries exist =="
+# A command that runs a deleted binary fails for whoever copies it. A
+# flag named on its own in prose (`--bin NAME` right after a backtick)
+# is not a command and is not checked.
+fail=0
+for md in $(git ls-files '*.md' ':!CHANGES.md'); do
+  for bin in $(grep -oE '(^|[^`])--bin [a-z0-9_]+' "$md" | awk '{print $2}' | sort -u); do
+    if [ ! -f "crates/bench/src/bin/$bin.rs" ]; then
+      echo "MISSING BIN: $md runs --bin $bin but crates/bench/src/bin/$bin.rs does not exist"
+      fail=1
+    fi
+  done
+done
+[ "$fail" -eq 0 ] || exit 1
+
 echo "== temporal query layer documented =="
 # The cookbook (docs/QUERYING.md) is the contract for the temporal
 # query surface: a public method someone can call but can't look up
 # is a doc regression, as is a metric label missing from the
-# observability reference or a cookbook command that names a bench
-# binary that doesn't exist.
+# observability reference.
 fail=0
 for method in $(grep -E '^    pub fn [a-z0-9_]+' crates/server/src/temporal.rs \
     | sed 's/^    pub fn //; s/(.*//' | sort -u); do
@@ -80,12 +95,6 @@ for kind in $(grep -oE 'hist\("[a-z]+"\)' crates/server/src/temporal.rs \
     | sed 's/hist("//; s/")//' | sort -u); do
   if ! grep -q "kind=\"$kind\"" docs/OBSERVABILITY.md; then
     echo "UNDOCUMENTED KIND: inca_depot_temporal_query_seconds{kind=\"$kind\"} (add it to docs/OBSERVABILITY.md)"
-    fail=1
-  fi
-done
-for bin in $(grep -oE '\-\-bin [a-z0-9_]+' docs/QUERYING.md | awk '{print $2}' | sort -u); do
-  if [ ! -f "crates/bench/src/bin/$bin.rs" ]; then
-    echo "MISSING BIN: docs/QUERYING.md runs --bin $bin but crates/bench/src/bin/$bin.rs does not exist"
     fail=1
   fi
 done

@@ -8,13 +8,18 @@
 //! Tables 1–3 and Figures 4–7 are deterministic per seed and must
 //! match byte for byte. Figure 9 and Table 4 time the 2004 splice
 //! cache for real, so Figure 9 is held by *shape* on a reduced sweep
-//! and Table 4 by everything except its response-time columns.
+//! and Table 4 by everything except its response-time columns. Beside
+//! them, the rope the depot runs on is held to the splice those
+//! exhibits time: the same document, at a fraction of the cost.
 
 use inca::harness::experiments::{
     fig4, fig5, fig6, fig7, fig8_table4, fig9, table1, table2, table3,
 };
+use inca::report::{BranchId, ReportBuilder, Timestamp};
+use inca::server::{RopeCache, XmlCache};
 use inca::wire::envelope::EnvelopeMode;
 use std::sync::{PoisonError, RwLock};
+use std::time::{Duration, Instant};
 
 /// Figure 9's shape is read off microsecond timings, and the harness
 /// runs a file's tests on parallel threads: the timing test takes this
@@ -128,6 +133,66 @@ fn fig9_keeps_the_papers_shape() {
     for name in ["fig9", "fig9_attachment"] {
         assert!(checked_in(name).starts_with(&header), "results/{name}.txt header moved");
     }
+}
+
+/// How many times faster the rope must take a probe insert than the
+/// splice at the same cache. The test's scale reads about 5,000× (full
+/// scale, 200 probes into 100,000 reports, about 59,000×); a rope that
+/// streamed and spliced like the 2004 cache would read about 1×.
+const ROPE_SPEEDUP_FLOOR: f64 = 10.0;
+
+/// `n` small version reports on distinct branches, numbered from
+/// `first` so separately built sets never collide.
+fn version_reports(n: usize, first: usize) -> Vec<(BranchId, String)> {
+    (first..first + n)
+        .map(|id| {
+            let (site, resource) = (format!("site{}", id % 10), format!("m{}", id % 40));
+            let branch = format!("reporter=version.pkg{id},resource={resource},site={site},vo=tg")
+                .parse()
+                .expect("generated branch is well-formed");
+            let xml = ReportBuilder::new(format!("version.pkg{id}"), "1.0")
+                .host(&resource)
+                .gmt(Timestamp::from_secs(1_089_158_400 + id as u64))
+                .body_value("packageVersion", format!("2.4.{}", id % 20))
+                .success()
+                .expect("builder succeeds")
+                .to_xml();
+            (branch, xml)
+        })
+        .collect()
+}
+
+/// The production write path against the paper's: 50 probe inserts
+/// into the same 5,000-report cache on the rope and on the streaming
+/// splice leave byte-identical documents, and the rope takes them at
+/// least `ROPE_SPEEDUP_FLOOR` times faster.
+#[test]
+fn rope_inserts_match_the_splice_at_a_fraction_of_its_cost() {
+    let _alone = QUIET.write().unwrap_or_else(PoisonError::into_inner);
+    let seed = version_reports(5_000, 0);
+    let probes = version_reports(50, seed.len());
+    let mut rope = RopeCache::new();
+    let items: Vec<(&BranchId, &str)> = seed.iter().map(|(b, x)| (b, x.as_str())).collect();
+    rope.insert_batch(&items).expect("rope seed");
+    let mut splice =
+        XmlCache::from_document(rope.document().to_string()).expect("rope document is valid");
+
+    let timed = |update: &mut dyn FnMut(&BranchId, &str)| -> Duration {
+        let started = Instant::now();
+        for (branch, xml) in &probes {
+            update(branch, xml);
+        }
+        started.elapsed()
+    };
+    let rope_time = timed(&mut |b, x| rope.update(b, x).expect("rope probe"));
+    let splice_time = timed(&mut |b, x| splice.update(b, x).expect("splice probe"));
+
+    assert_eq!(rope.document().as_str(), splice.document(), "documents diverged");
+    let speedup = splice_time.as_secs_f64() / rope_time.as_secs_f64().max(1e-9);
+    assert!(
+        speedup >= ROPE_SPEEDUP_FLOOR,
+        "rope {rope_time:?} vs splice {splice_time:?}: {speedup:.1}x, floor {ROPE_SPEEDUP_FLOOR}x"
+    );
 }
 
 /// `(size bucket, update count)` of a rendered Table 4 row: the five
