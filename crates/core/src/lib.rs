@@ -20,4 +20,4 @@ pub mod live;
 pub mod sim_run;
 
 pub use deployment::{teragrid_deployment, Deployment, ResourceAssignment};
-pub use sim_run::{InProcTransport, SimOptions, SimOutcome, SimRun};
+pub use sim_run::{SimOptions, SimOutcome, SimRun};

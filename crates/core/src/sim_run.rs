@@ -6,7 +6,10 @@
 //! [`SimOptions::sim_threads`] OS threads — the real clients run on
 //! separate hosts), per-daemon spools standing in for the
 //! client→server TCP hop and draining into one deterministic batched
-//! submission per tick, the centralized controller checking the
+//! submission per tick (handed to the controller's
+//! [`CentralizedController::submit_batch_decoded`] as the messages the
+//! daemons built — in process there is no wire, so nothing is encoded
+//! or decoded), the centralized controller checking the
 //! allowlist, deduplicating retransmissions by `(daemon, seq)`, and
 //! enveloping reports, and the depot caching and archiving them. A
 //! verification consumer runs on a fixed cadence (the paper's status
@@ -33,7 +36,8 @@ use inca_health::{render_health_page, HealthMonitor, SloRule};
 use inca_obs::{Obs, TraceStore, TraceStoreConfig};
 use inca_report::{BranchId, Timestamp};
 use inca_server::{
-    CacheBackend, CentralizedController, ControllerConfig, Depot, MetricsScraper, QueryInterface,
+    CacheBackend, CentralizedController, ControllerConfig, DecodedSubmission, Depot,
+    MetricsScraper, QueryInterface,
 };
 use inca_sim::{ForwardFault, ForwardFaultConfig, Vo};
 use inca_wire::envelope::EnvelopeMode;
@@ -42,35 +46,6 @@ use inca_wire::HostAllowlist;
 use parking_lot::Mutex;
 
 use crate::deployment::Deployment;
-
-/// In-process client→server transport: frames the message exactly as
-/// TCP would and submits it with the current simulated time.
-pub struct InProcTransport {
-    server: Arc<CentralizedController>,
-    now: Arc<Mutex<Timestamp>>,
-    resource: String,
-}
-
-impl InProcTransport {
-    /// A transport submitting directly to `server` as `resource`, with
-    /// the simulated clock read from `now` at each send.
-    pub fn new(
-        server: Arc<CentralizedController>,
-        now: Arc<Mutex<Timestamp>>,
-        resource: impl Into<String>,
-    ) -> InProcTransport {
-        InProcTransport { server, now, resource: resource.into() }
-    }
-}
-
-impl Transport for InProcTransport {
-    fn send(&self, message: &ClientMessage) -> Result<ServerResponse, String> {
-        let payload = message.encode();
-        let now = *self.now.lock();
-        let (response, _) = self.server.submit(&self.resource, &payload, now);
-        Ok(response)
-    }
-}
 
 /// Transport handed to [`SimRun`]'s daemons, which run in deferred
 /// delivery: every fire's report lands in the daemon's spool and the
@@ -298,7 +273,6 @@ pub struct SimRun {
     /// One hostname per daemon, same order as `daemons` — the
     /// submission peer identity and the fault schedule's daemon key.
     hostnames: Vec<String>,
-    now: Arc<Mutex<Timestamp>>,
     tracker: AvailabilityTracker,
     monitor: Option<HealthMonitor>,
     /// Persistent tick workers when `sim_threads > 1` (spawned once,
@@ -329,7 +303,6 @@ impl SimRun {
         server.with_depot_mut(|d| {
             d.add_archive_rule(inca_consumer::bandwidth_archive_rule(&deployment.agreement.vo))
         });
-        let now = Arc::new(Mutex::new(deployment.start));
         let mut daemons = Vec::with_capacity(deployment.assignments.len());
         let mut hostnames = Vec::with_capacity(deployment.assignments.len());
         for assignment in &deployment.assignments {
@@ -367,7 +340,6 @@ impl SimRun {
             server,
             daemons,
             hostnames,
-            now,
             tracker: AvailabilityTracker::figure5(),
             monitor,
             pool,
@@ -531,26 +503,33 @@ impl SimRun {
             return;
         }
         batch.sort_by_cached_key(|(_, _, m, _)| m.branch.to_string());
-        let submissions: Vec<(String, Vec<u8>)> = batch
-            .iter()
-            .map(|(index, _, m, _)| (self.hostnames[*index].clone(), m.encode()))
-            .collect();
-        let results = self.server.submit_batch(&submissions, t);
-        for ((index, seq, _, reply_dropped), (response, _)) in
-            batch.iter().zip(&results)
-        {
+        // Every message here was built from a `Report` in this process,
+        // so it goes to admission as it is: no wire, nothing to decode.
+        let (resolve, submissions): (Vec<_>, Vec<_>) = batch
+            .into_iter()
+            .map(|(index, seq, message, reply_dropped)| {
+                let submission = DecodedSubmission {
+                    peer_host: self.hostnames[index].clone(),
+                    payload_len: message.report_xml.len(),
+                    message: Ok(message),
+                };
+                ((index, seq, reply_dropped), submission)
+            })
+            .unzip();
+        let results = self.server.submit_batch_decoded(submissions, t);
+        for ((index, seq, reply_dropped), (response, _)) in resolve.into_iter().zip(results) {
             let daemon =
-                self.daemons[*index].as_mut().expect("daemon home between ticks");
-            if *reply_dropped {
+                self.daemons[index].as_mut().expect("daemon home between ticks");
+            if reply_dropped {
                 // Whatever the server answered, the daemon never heard
                 // it: back off and retry. If the server ingested, the
                 // seq dedup absorbs the retry; if it rejected, the
                 // retry is re-rejected and resolved then.
-                daemon.delivery_lost(*seq, t);
+                daemon.delivery_lost(seq, t);
             } else if matches!(response, ServerResponse::Rejected(_)) {
-                daemon.delivery_rejected(*seq);
+                daemon.delivery_rejected(seq);
             } else {
-                daemon.delivery_acked(*seq);
+                daemon.delivery_acked(seq);
             }
         }
     }
@@ -623,7 +602,6 @@ impl SimRun {
             if t >= end {
                 break;
             }
-            *self.now.lock() = t;
             if Some(t) == next_verify {
                 self.verification_pass(t);
                 passes += 1;
@@ -668,7 +646,6 @@ impl SimRun {
             self.drain_tick(t);
             prev_t = t;
         }
-        *self.now.lock() = end;
         // Horizon flush: deliver everything still spooled with faults
         // off. No report enqueued during the run is ever lost, and the
         // final depot matches a fault-free run of the same deployment.
@@ -889,7 +866,7 @@ mod tests {
                 daemon.processes().records().len(),
                 "process table complete"
             );
-            assert_eq!(stats.forward_errors, 0, "in-proc transport never fails");
+            assert_eq!(stats.forward_errors, 0, "in-process delivery never fails");
         }
     }
 

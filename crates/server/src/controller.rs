@@ -9,16 +9,19 @@
 //! address is the branch identifier. The envelope is forwarded to the
 //! depot."
 //!
-//! [`CentralizedController::submit`] is the transport-independent core
-//! (used directly by the simulation harness); [`serve_tcp`] wraps it in
-//! a thread-per-connection TCP accept loop for live deployments. What
-//! crosses from a front end into the controller is a
-//! [`DecodedSubmission`]: each frame is decoded (and its report
-//! validated) exactly once, where it is received, and admission works
-//! on the decoded message. The depot sits behind a reader-writer lock: submissions take the write
-//! side, while any number of query readers proceed concurrently — an
-//! improvement over the 2004 system, which serialized everything
-//! through its single Perl daemon.
+//! [`CentralizedController::submit_batch_decoded`] is the
+//! transport-independent core and the one route into the depot: both
+//! TCP front ends ([`serve_tcp`], the thread-per-connection oracle, and
+//! the reactor), the federation and the simulation harness admit
+//! through it, and every report reaches the cache through one
+//! [`Depot::receive_batch`]. What crosses from a front end into the
+//! controller is a [`DecodedSubmission`]: each frame is decoded (and
+//! its report validated) exactly once, where it is received, and
+//! admission works on the decoded message. The depot sits behind a
+//! reader-writer lock: submissions take the write side, while any
+//! number of query readers proceed concurrently — an improvement over
+//! the 2004 system, which serialized everything through its single Perl
+//! daemon.
 //!
 //! [`serve_tcp`]: CentralizedController::serve_tcp
 
@@ -110,7 +113,9 @@ pub struct DecodedSubmission {
     /// is admitted too, so it is answered and counted like any other
     /// refusal — after the allowlist check.
     pub message: Result<ClientMessage, WireError>,
-    /// Size of the frame payload the message was decoded from.
+    /// Size of the frame payload the message was decoded from. A
+    /// message built in process (the simulator's drain) was never a
+    /// frame, and carries the length of its report XML instead.
     pub payload_len: usize,
 }
 
@@ -266,7 +271,8 @@ impl CentralizedController {
     }
 
     /// Processes one framed client payload from `peer_host`: decodes
-    /// it and hands it to [`CentralizedController::submit_decoded`].
+    /// it and admits it as a batch of one through
+    /// [`CentralizedController::submit_batch_decoded`].
     ///
     /// Returns the response to send back plus the depot timing when the
     /// submission was accepted.
@@ -276,49 +282,15 @@ impl CentralizedController {
         payload: &[u8],
         now: Timestamp,
     ) -> (ServerResponse, Option<DepotTiming>) {
-        self.submit_decoded(DecodedSubmission::new(peer_host, payload), now)
-    }
-
-    /// Processes one already-decoded submission.
-    pub fn submit_decoded(
-        &self,
-        submission: DecodedSubmission,
-        now: Timestamp,
-    ) -> (ServerResponse, Option<DepotTiming>) {
-        let (bytes, span, origin) = match self.admit(submission) {
-            Admission::Fresh(bytes, span, origin) => (bytes, span, origin),
-            Admission::Duplicate => return (ServerResponse::Ack, None),
-            Admission::Rejected(response) => return (response, None),
-        };
-        // Writes serialize through the depot's write lock, as in the
-        // paper (reads share the lock); the gauge tracks how many
-        // submissions are queued on it.
-        self.queue_depth.add(1.0);
-        let result = {
-            let mut depot = self.depot.write();
-            depot.receive(&bytes, now)
-        };
-        self.queue_depth.sub(1.0);
-        match result {
-            Ok(timing) => {
-                self.accepted.inc();
-                span.finish();
-                (ServerResponse::Ack, Some(timing))
-            }
-            Err(e) => {
-                self.forget_origin(&origin);
-                self.rejected_depot.inc();
-                span.severity(Severity::Warn).field("rejected", "depot").finish();
-                (ServerResponse::Rejected(e.to_string()), None)
-            }
-        }
+        self.submit_batch_decoded([DecodedSubmission::new(peer_host, payload)], now)
+            .pop()
+            .expect("one response per submission")
     }
 
     /// Processes a burst of `(peer_host, payload)` submissions in one
     /// depot pass, returning one response per submission in order:
     /// decodes each payload and hands the burst to
-    /// [`CentralizedController::submit_batch_decoded`]. The simulation
-    /// engine drains each tick's reporter output through here.
+    /// [`CentralizedController::submit_batch_decoded`].
     pub fn submit_batch(
         &self,
         submissions: &[(String, Vec<u8>)],
@@ -333,15 +305,18 @@ impl CentralizedController {
     }
 
     /// Processes a burst of already-decoded submissions in one depot
-    /// pass, returning one response per submission in order.
+    /// pass, returning one response per submission in order — the
+    /// route every submission takes into the depot.
     ///
-    /// Admission (allowlist, decode outcome, per-message accept span
-    /// and counters) is identical to
-    /// [`CentralizedController::submit_decoded`]; the depot lock is
-    /// taken **once** and every admitted report is spliced by a single
-    /// [`Depot::receive_batch`] — the amortization the paper's §5.2.2
-    /// scalability analysis calls for. The reactor front end submits
-    /// every frame of a readiness pass through here.
+    /// Each submission is admitted on its own (allowlist, decode
+    /// outcome, seq dedup, per-message accept span and counters); the
+    /// depot lock is then taken **once** and every admitted report is
+    /// spliced by a single [`Depot::receive_batch`] — the amortization
+    /// the paper's §5.2.2 scalability analysis calls for. A burst with
+    /// nothing admitted never touches the depot. The reactor submits
+    /// every frame of a readiness pass here, the threaded loop and
+    /// [`CentralizedController::submit`] a batch of one, and the
+    /// simulator each tick's drained spools.
     pub fn submit_batch_decoded(
         &self,
         submissions: impl IntoIterator<Item = DecodedSubmission>,
@@ -364,12 +339,17 @@ impl CentralizedController {
                 Admission::Rejected(response) => Some((response, None)),
             });
         }
-        self.queue_depth.add(batch.len() as f64);
-        let outcomes = {
-            let mut depot = self.depot.write();
-            depot.receive_batch(&batch, now)
+        // Writes serialize through the depot's write lock, as in the
+        // paper (reads share the lock); the gauge tracks how many
+        // submissions are queued on it.
+        let outcomes = if batch.is_empty() {
+            Vec::new()
+        } else {
+            self.queue_depth.add(batch.len() as f64);
+            let outcomes = self.depot.write().receive_batch(&batch, now);
+            self.queue_depth.sub(batch.len() as f64);
+            outcomes
         };
-        self.queue_depth.sub(batch.len() as f64);
         for ((index, span, origin), outcome) in admitted.into_iter().zip(outcomes) {
             results[index] = Some(match outcome {
                 Ok(timing) => {
@@ -417,6 +397,13 @@ impl CentralizedController {
 
     /// Starts a thread-per-connection TCP accept loop. Submissions use
     /// wall-clock seconds for archive timestamps.
+    ///
+    /// This is the historical front end, kept as the oracle for the
+    /// reactor ([`CentralizedController::serve_reactor`], the scale
+    /// path): both speak the same framed protocol and admit through the
+    /// same [`CentralizedController::submit_batch_decoded`], so they
+    /// must build byte-identical depot documents from the same
+    /// submissions (proven under chaos in `tests/net_frontend.rs`).
     ///
     /// Finished workers (and their stream clones) are reaped on every
     /// accept-loop pass, so a long-lived server under connection churn
@@ -499,61 +486,6 @@ impl CentralizedController {
             live_workers,
         })
     }
-
-    /// Starts the chosen server frontend on `listener`.
-    ///
-    /// Both frontends speak the identical framed protocol and share all
-    /// admission, dedup and depot machinery — the threaded loop is the
-    /// historical oracle, the reactor the scale path — so they must
-    /// produce byte-identical depot documents for the same submissions
-    /// (proven under chaos in `tests/net_frontend.rs`).
-    pub fn serve(
-        self: &Arc<Self>,
-        frontend: ServerFrontend,
-        listener: TcpListener,
-    ) -> std::io::Result<ServerHandle> {
-        match frontend {
-            ServerFrontend::Threaded => self.serve_tcp(listener).map(ServerHandle::Threaded),
-            ServerFrontend::Reactor => self.serve_reactor(listener).map(ServerHandle::Reactor),
-        }
-    }
-}
-
-/// Which server frontend accepts daemon connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerFrontend {
-    /// The original thread-per-connection blocking accept loop — one
-    /// worker thread per daemon; kept as the correctness oracle.
-    Threaded,
-    /// The event-driven readiness reactor (`crate::reactor`) — one
-    /// thread multiplexing every daemon connection.
-    Reactor,
-}
-
-/// A running server frontend of either flavour; shuts down on drop.
-pub enum ServerHandle {
-    /// Thread-per-connection loop.
-    Threaded(TcpServerHandle),
-    /// Event-driven reactor.
-    Reactor(crate::reactor::ReactorHandle),
-}
-
-impl ServerHandle {
-    /// The bound address (use port 0 to pick a free port in tests).
-    pub fn addr(&self) -> SocketAddr {
-        match self {
-            ServerHandle::Threaded(h) => h.addr(),
-            ServerHandle::Reactor(h) => h.addr(),
-        }
-    }
-
-    /// Requests shutdown and joins the frontend's threads.
-    pub fn stop(self) {
-        match self {
-            ServerHandle::Threaded(h) => h.stop(),
-            ServerHandle::Reactor(h) => h.stop(),
-        }
-    }
 }
 
 /// How long a connection may sit idle (or mid-frame) before the server
@@ -608,7 +540,10 @@ fn handle_connection(
                 .map(|d| d.as_secs())
                 .unwrap_or(0),
         );
-        let (response, _) = controller.submit_decoded(submission, now);
+        let (response, _) = controller
+            .submit_batch_decoded([submission], now)
+            .pop()
+            .expect("one response per submission");
         write_frame(&mut stream, &response.encode())?;
         stream.flush()?;
     }
@@ -1008,13 +943,9 @@ pub(crate) mod tests {
                 submissions.iter().map(|(h, p)| c.submit(h, p, now)).collect(),
             );
             let c = fresh();
-            let decoded_single =
-                observed(&c, decoded().map(|s| c.submit_decoded(s, now)).collect());
-            let c = fresh();
             let bytes_batch = observed(&c, c.submit_batch(&submissions, now));
             let c = fresh();
             let decoded_batch = observed(&c, c.submit_batch_decoded(decoded(), now));
-            assert_eq!(decoded_single, bytes_single);
             assert_eq!(bytes_batch, bytes_single);
             assert_eq!(decoded_batch, bytes_single);
 
@@ -1050,8 +981,11 @@ pub(crate) mod tests {
             ControllerConfig { allowlist: restrictive(), ..Default::default() },
             Depot::with_obs(inca_obs::Obs::new()),
         );
-        let (response, _) = controller.submit_decoded(submission, Timestamp::from_secs(0));
-        assert_eq!(response, ServerResponse::Rejected("host  not in allowlist".into()));
+        let responses = controller.submit_batch_decoded([submission], Timestamp::from_secs(0));
+        assert_eq!(
+            responses,
+            [(ServerResponse::Rejected("host  not in allowlist".into()), None)]
+        );
     }
 
     #[test]

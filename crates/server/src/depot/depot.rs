@@ -4,9 +4,10 @@
 //! controller must wait while the depot receives and processes the
 //! envelope" and breaks it into "(1) receiving the report and unpacking
 //! the SOAP envelope … and (2) processing the cache to find the
-//! appropriate location for the report". [`Depot::receive`] reproduces
-//! exactly that decomposition and returns both components in
-//! [`DepotTiming`] — the data behind Table 4 and Figure 9.
+//! appropriate location for the report". [`Depot::receive_batch`]
+//! reproduces exactly that decomposition for every envelope and returns
+//! both components in [`DepotTiming`] — the data behind Table 4 and
+//! Figure 9. [`Depot::receive`] is a batch of one.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -108,8 +109,8 @@ enum Backend {
 }
 
 /// The depot's cache storage: a backend, and the parsed form of the
-/// reports it holds. `update` and `insert_batch` are the only ways to
-/// change the backend, which is what lets them keep `parsed` honest.
+/// reports it holds. `insert_batch` is the only way to change the
+/// backend, which is what lets it keep `parsed` honest.
 #[derive(Debug)]
 struct CacheStore {
     backend: Backend,
@@ -129,14 +130,6 @@ struct CacheStore {
 impl CacheStore {
     fn new(backend: Backend) -> CacheStore {
         CacheStore { backend, parsed: ParsedMemo::default() }
-    }
-
-    fn update(&mut self, branch: &BranchId, xml: &str) -> Result<(), CacheError> {
-        self.parsed.forget(branch);
-        match &mut self.backend {
-            Backend::Splice(c) => c.update(branch, xml),
-            Backend::Rope(c) => c.update(branch, xml),
-        }
     }
 
     fn insert_batch(&mut self, items: &[(&BranchId, &str)]) -> Result<(), CacheError> {
@@ -264,52 +257,35 @@ impl CacheStore {
 /// cache and materializes (generation-cached inside [`RopeCache`]) on
 /// the rope.
 #[derive(Debug, Clone, Copy)]
-pub enum CacheRef<'a> {
-    /// A splice-backed depot's cache.
-    Splice(&'a XmlCache),
-    /// A rope-backed depot's cache.
-    Rope(&'a RopeCache),
-}
+pub struct CacheRef<'a>(&'a CacheStore);
 
 impl<'a> CacheRef<'a> {
     /// Which backend this view reads from.
     pub fn backend(&self) -> CacheBackend {
-        match self {
-            CacheRef::Splice(_) => CacheBackend::Splice,
-            CacheRef::Rope(_) => CacheBackend::Rope,
+        match self.0.backend {
+            Backend::Splice(_) => CacheBackend::Splice,
+            Backend::Rope(_) => CacheBackend::Rope,
         }
     }
 
     /// The full cache document.
     pub fn document(&self) -> Cow<'a, str> {
-        match self {
-            CacheRef::Splice(c) => Cow::Borrowed(c.document()),
-            CacheRef::Rope(c) => Cow::Owned((*c.document()).clone()),
-        }
+        self.0.document()
     }
 
     /// Document size in bytes (O(1) on both backends).
     pub fn size_bytes(&self) -> usize {
-        match self {
-            CacheRef::Splice(c) => c.size_bytes(),
-            CacheRef::Rope(c) => c.size_bytes(),
-        }
+        self.0.size_bytes()
     }
 
     /// Number of cached reports (O(1) on both backends).
     pub fn report_count(&self) -> usize {
-        match self {
-            CacheRef::Splice(c) => c.report_count(),
-            CacheRef::Rope(c) => c.report_count(),
-        }
+        self.0.report_count()
     }
 
     /// Mutation counter — the memo/materialization cache key.
     pub fn generation(&self) -> u64 {
-        match self {
-            CacheRef::Splice(c) => c.generation(),
-            CacheRef::Rope(c) => c.generation(),
-        }
+        self.0.generation()
     }
 }
 
@@ -335,7 +311,7 @@ pub struct Depot {
     arena_bytes: Arc<Gauge>,
     /// Rope-arena compactions run (`inca_depot_compactions_total`).
     compactions: Arc<Counter>,
-    /// Reports per batched ingest (`inca_depot_batch_size`).
+    /// Reports accepted per receive (`inca_depot_batch_size`).
     batch_size_hist: Arc<Histogram>,
     /// Whole-batch cache-splice latency
     /// (`inca_depot_batch_insert_seconds`); the per-report share
@@ -397,7 +373,7 @@ impl Depot {
         );
         let batch_size_hist = obs.metrics().histogram(
             "inca_depot_batch_size",
-            "Reports accepted per batched ingest.",
+            "Reports accepted per depot receive (a single receive is a batch of 1).",
             &BATCH_SIZE_BOUNDS,
         );
         let batch_insert_hist = obs.metrics().histogram(
@@ -436,94 +412,35 @@ impl Depot {
     }
 
     /// Receives one encoded envelope at (virtual) time `now`,
-    /// returning the measured timing decomposition.
-    ///
-    /// Binary frames take the zero-copy path: the report bytes are
-    /// borrowed straight out of the payload (structurally skimmed, not
-    /// parsed) and spliced into the cache; XML materialization waits
-    /// until an archive rule or query actually needs the report tree.
+    /// returning the measured timing decomposition: a batch of one
+    /// through [`Depot::receive_batch`].
     pub fn receive(&mut self, envelope_bytes: &[u8], now: Timestamp) -> Result<DepotTiming, DepotError> {
-        let span = self.obs.span("depot.insert").field("bytes", envelope_bytes.len());
-        let t0 = Instant::now();
-        let envelope = match EnvelopeView::decode(envelope_bytes) {
-            Ok(e) => e,
-            Err(e) => {
-                span.severity(Severity::Warn).field("error", &e).finish();
-                return Err(e.into());
-            }
-        };
-        // Join the report's trace if the envelope carried one; the
-        // archive leg re-parents on this insert span.
-        let mut span = span.field("branch", &envelope.address);
-        if let Some(ctx) = envelope.trace {
-            span = span.trace_ctx(ctx);
-        }
-        let archive_ctx = span.child_ctx();
-        let trace_id = envelope.trace.map_or(0, |ctx| ctx.trace_id);
-        let t1 = Instant::now();
-        if let Err(e) = self.cache.update(&envelope.address, &envelope.report_xml) {
-            span.severity(Severity::Error).field("error", &e).finish();
-            return Err(e.into());
-        }
-        let t2 = Instant::now();
-        // Archival: only if some rule matches does the report get
-        // re-parsed for value extraction.
-        if self
-            .archive
-            .rules()
-            .iter()
-            .any(|r| envelope.address.matches_suffix(&r.query))
-        {
-            let mut archive_span =
-                self.obs.span("depot.archive.write").field("branch", &envelope.address);
-            if let Some(ctx) = archive_ctx {
-                archive_span = archive_span.trace_ctx(ctx);
-            }
-            if let Ok(report) = Report::parse(&envelope.report_xml) {
-                let ingested = self.archive.ingest(&envelope.address, &report, now);
-                archive_span.field("series", ingested).finish();
-            }
-        }
-        let t3 = Instant::now();
-        let timing = DepotTiming {
-            unpack: t1 - t0,
-            insert: t2 - t1,
-            archive: t3 - t2,
-            report_size: envelope.report_xml.len(),
-        };
-        self.stats
-            .record(timing.report_size, timing.response().as_secs_f64());
-        // Exemplars tie the aggregate latency back to one concrete
-        // trace (a no-op when the envelope carried no context).
-        self.unpack_hist.observe_duration_with_exemplar(timing.unpack, trace_id);
-        self.insert_hist.observe_duration_with_exemplar(timing.insert, trace_id);
-        if self.cache.maybe_compact() {
-            self.compactions.inc();
-        }
-        self.cache_bytes.set(self.cache.size_bytes() as f64);
-        self.cache_reports.set(self.cache.report_count() as f64);
-        self.arena_bytes.set(self.cache.arena_bytes() as f64);
-        span.field("size", timing.report_size)
-            .field("cache_bytes", self.cache.size_bytes())
-            .finish();
-        Ok(timing)
+        self.receive_batch(&[envelope_bytes], now)
+            .pop()
+            .expect("one result per envelope")
     }
 
     /// Receives a burst of encoded envelopes at (virtual) time `now`,
-    /// returning one timing/error per envelope in input order.
+    /// returning one timing/error per envelope in input order. This is
+    /// the depot's only write.
     ///
-    /// Per-report behaviour — validation, trace lineage (each accepted
-    /// report still gets its own `depot.insert` span joined on the
-    /// envelope's trace), archival, and response statistics — matches
-    /// N calls to [`Depot::receive`]. The difference is bookkeeping:
-    /// the batch is one cache mutation (one generation, so one memo
+    /// Each envelope is unpacked and timed on its own, and each
+    /// accepted report gets its own `depot.insert` span joined on the
+    /// envelope's trace (the archive leg re-parents on it). Binary
+    /// frames take the zero-copy path: the report bytes are borrowed
+    /// straight out of the payload (structurally skimmed, not parsed)
+    /// and spliced into the cache; XML materialization waits until an
+    /// archive rule or query actually needs the report tree.
+    ///
+    /// The batch is one cache mutation (one generation, so one memo
     /// invalidation) and one round of gauge updates, and each report's
-    /// [`DepotTiming::insert`] is its share of the batch's insert time.
-    /// A decode failure rejects only that envelope; a cache failure
-    /// (corruption) rejects the batch without mutating.
-    pub fn receive_batch(
+    /// [`DepotTiming::insert`] is its share of the batch's insert time
+    /// — the whole insert for a batch of one. A decode failure rejects
+    /// only that envelope; a cache failure (corruption) rejects the
+    /// batch without mutating.
+    pub fn receive_batch<B: AsRef<[u8]>>(
         &mut self,
-        envelopes: &[Vec<u8>],
+        envelopes: &[B],
         now: Timestamp,
     ) -> Vec<Result<DepotTiming, DepotError>> {
         struct Pending<'a> {
@@ -534,7 +451,7 @@ impl Depot {
             archive_ctx: Option<TraceContext>,
             trace_id: u64,
         }
-        let total_bytes: usize = envelopes.iter().map(Vec::len).sum();
+        let total_bytes: usize = envelopes.iter().map(|e| e.as_ref().len()).sum();
         let batch_span = self
             .obs
             .span("depot.insert_batch")
@@ -544,13 +461,13 @@ impl Depot {
             (0..envelopes.len()).map(|_| None).collect();
         let mut accepted: Vec<Pending> = Vec::with_capacity(envelopes.len());
         for (index, bytes) in envelopes.iter().enumerate() {
+            let bytes = bytes.as_ref();
             let span = self.obs.span("depot.insert").field("bytes", bytes.len());
             let t0 = Instant::now();
             match EnvelopeView::decode(bytes) {
                 Ok(envelope) => {
                     let unpack = t0.elapsed();
-                    let mut span =
-                        span.field("branch", &envelope.address).field("batched", true);
+                    let mut span = span.field("branch", &envelope.address);
                     if let Some(ctx) = envelope.trace {
                         span = span.trace_ctx(ctx);
                     }
@@ -635,10 +552,7 @@ impl Depot {
     /// The cache (read access for the querying interface), as a
     /// backend-agnostic view.
     pub fn cache(&self) -> CacheRef<'_> {
-        match &self.cache.backend {
-            Backend::Splice(c) => CacheRef::Splice(c),
-            Backend::Rope(c) => CacheRef::Rope(c),
-        }
+        CacheRef(&self.cache)
     }
 
     /// Which cache backend this depot runs on.

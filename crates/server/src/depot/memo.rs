@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 
 /// Result value of a memoizable query.
 #[derive(Debug, Clone, PartialEq)]
-pub enum MemoValue {
+pub(crate) enum MemoValue {
     /// A [`crate::XmlCache::subtree`] result.
     Subtree(Option<String>),
     /// A [`crate::XmlCache::reports`] result.
@@ -40,20 +40,20 @@ pub enum MemoValue {
 /// evicted first. Entries from older cache generations are dropped on
 /// probe.
 #[derive(Debug)]
-pub struct QueryMemo {
+pub(crate) struct QueryMemo {
     entries: Mutex<VecDeque<(u64, String, MemoValue)>>,
     capacity: usize,
 }
 
 impl QueryMemo {
     /// A memo holding up to `capacity` entries.
-    pub fn new(capacity: usize) -> QueryMemo {
+    pub(crate) fn new(capacity: usize) -> QueryMemo {
         QueryMemo { entries: Mutex::new(VecDeque::with_capacity(capacity)), capacity }
     }
 
     /// The memoized value for `key` if it was stored at `generation`;
     /// a stale entry (older generation) is evicted and misses.
-    pub fn get(&self, generation: u64, key: &str) -> Option<MemoValue> {
+    pub(crate) fn get(&self, generation: u64, key: &str) -> Option<MemoValue> {
         let mut entries = self.entries.lock();
         let pos = entries.iter().position(|(_, k, _)| k == key)?;
         if entries[pos].0 == generation {
@@ -66,7 +66,7 @@ impl QueryMemo {
 
     /// Stores `value` for `key` at `generation`, evicting the oldest
     /// entry when full (and any previous entry under the same key).
-    pub fn put(&self, generation: u64, key: String, value: MemoValue) {
+    pub(crate) fn put(&self, generation: u64, key: String, value: MemoValue) {
         let mut entries = self.entries.lock();
         if let Some(pos) = entries.iter().position(|(_, k, _)| *k == key) {
             entries.remove(pos);
@@ -77,14 +77,10 @@ impl QueryMemo {
         entries.push_back((generation, key, value));
     }
 
-    /// Number of live entries (tests and gauges).
-    pub fn len(&self) -> usize {
+    /// Number of live entries.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.lock().len()
-    }
-
-    /// True when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -164,7 +160,7 @@ mod tests {
         memo.put(1, "k".into(), MemoValue::Exact(Some("v".into())));
         assert_eq!(memo.get(1, "k"), Some(MemoValue::Exact(Some("v".into()))));
         assert_eq!(memo.get(2, "k"), None, "older generation must miss");
-        assert!(memo.is_empty(), "stale entry is evicted by the probe");
+        assert_eq!(memo.len(), 0, "stale entry is evicted by the probe");
     }
 
     #[test]

@@ -6,5 +6,5 @@ pub mod archive;
 pub mod cache;
 #[allow(clippy::module_inception)]
 pub mod depot;
-pub mod memo;
+pub(crate) mod memo;
 pub mod rope;

@@ -8,8 +8,8 @@
 //! the sites it owns. Three planes tie the partitions back into one
 //! logical depot:
 //!
-//! * **Ingest**: [`Federation::submit`]/[`Federation::submit_batch`]
-//!   route each submission to the owning partition; the exactly-once
+//! * **Ingest**: [`Federation::submit_batch`] decodes each submission
+//!   once and routes it to the owning partition; the exactly-once
 //!   contract is unchanged because each daemon's `(daemon_id, seq)`
 //!   stream lands wholly on one partition's `DedupIndex`.
 //! * **Query**: [`Federation::global_document`] fans out to every
@@ -39,7 +39,6 @@ use inca_obs::metrics::{Counter, Gauge, Histogram, DEFAULT_LATENCY_BOUNDS};
 use inca_obs::Obs;
 use inca_report::{BranchId, ReportBuilder, Timestamp};
 use inca_rrd::ArchivePolicy;
-use inca_wire::envelope::EnvelopeMode;
 use inca_wire::message::{ClientMessage, ServerResponse};
 
 use crate::controller::{CentralizedController, ControllerConfig, DecodedSubmission};
@@ -63,8 +62,6 @@ pub const ROLLUP_RULE_NAME: &str = "fed-availability";
 pub struct FederationConfig {
     /// Depot partition names (the partition map's universe).
     pub partitions: Vec<String>,
-    /// Envelope packing used by every partition's controller.
-    pub envelope_mode: EnvelopeMode,
     /// Upper bound on any single partition's cache bytes; checked by
     /// [`Federation::over_bound_partitions`] (`None` = unbounded).
     pub cache_byte_bound: Option<usize>,
@@ -76,7 +73,6 @@ impl Default for FederationConfig {
     fn default() -> Self {
         FederationConfig {
             partitions: (0..8).map(|i| format!("depot{i}")).collect(),
-            envelope_mode: EnvelopeMode::Binary,
             cache_byte_bound: None,
             vo: "tg".into(),
         }
@@ -113,12 +109,9 @@ impl Federation {
             .partitions()
             .iter()
             .map(|name| {
-                let controller_config = ControllerConfig {
-                    envelope_mode: config.envelope_mode,
-                    ..ControllerConfig::default()
-                };
                 let depot = Depot::with_obs(Obs::new());
-                (name.clone(), Arc::new(CentralizedController::new(controller_config, depot)))
+                let controller = CentralizedController::new(ControllerConfig::default(), depot);
+                (name.clone(), Arc::new(controller))
             })
             .collect();
         let metrics = obs.metrics();
@@ -182,31 +175,14 @@ impl Federation {
         self.map.route(branch)
     }
 
-    /// Routes one framed submission to the owning partition.
+    /// Routes a burst of `(peer_host, payload)` submissions, one depot
+    /// batch per owning partition, returning responses in input order.
     ///
-    /// The payload is decoded once, here: its branch picks the
+    /// Each payload is decoded once, here: its branch picks the
     /// partition, and the decoded message goes on to the owning
     /// controller's admission (allowlist, dedup, envelope). An
     /// undecodable payload is rejected here — there is no partition it
     /// could belong to.
-    pub fn submit(
-        &self,
-        peer_host: &str,
-        payload: &[u8],
-        now: Timestamp,
-    ) -> (ServerResponse, Option<DepotTiming>) {
-        let submission = DecodedSubmission::new(peer_host, payload);
-        let result = match self.route_decoded(&submission) {
-            Ok(partition) => self.depots[partition].submit_decoded(submission, now),
-            Err(unroutable) => (unroutable, None),
-        };
-        self.sync_gauges();
-        result
-    }
-
-    /// Routes a burst of `(peer_host, payload)` submissions, one depot
-    /// batch per owning partition, returning responses in input order.
-    /// Each payload is decoded once, as in [`Federation::submit`].
     pub fn submit_batch(
         &self,
         submissions: &[(String, Vec<u8>)],
@@ -657,8 +633,10 @@ mod tests {
         let want = observed(&oracle, oracle.submit_batch(&submissions, now));
 
         let single = federation(4);
-        let one_by_one: Vec<_> =
-            submissions.iter().map(|(h, p)| single.submit(h, p, now)).collect();
+        let one_by_one: Vec<_> = submissions
+            .iter()
+            .flat_map(|submission| single.submit_batch(std::slice::from_ref(submission), now))
+            .collect();
         let batched = federation(4);
         let burst = batched.submit_batch(&submissions, now);
         for (fed, got) in [(&single, one_by_one), (&batched, burst)] {
@@ -704,12 +682,13 @@ mod tests {
     #[test]
     fn undecodable_submission_is_rejected_not_routed() {
         let fed = federation(2);
-        let (response, timing) =
-            fed.submit("h", b"not a message", Timestamp::from_secs(0));
-        assert!(matches!(response, ServerResponse::Rejected(_)));
-        assert!(timing.is_none());
-        let results =
-            fed.submit_batch(&[("h".into(), b"junk".to_vec())], Timestamp::from_secs(0));
-        assert!(matches!(results[0].0, ServerResponse::Rejected(_)));
+        let results = fed.submit_batch(
+            &[("h".into(), b"not a message".to_vec()), ("h".into(), b"junk".to_vec())],
+            Timestamp::from_secs(0),
+        );
+        for (response, timing) in results {
+            assert!(matches!(response, ServerResponse::Rejected(_)));
+            assert!(timing.is_none());
+        }
     }
 }

@@ -38,6 +38,8 @@
 //! * [`stats`] — response-time statistics per report-size bucket
 //!   (Table 4) and received-size histograms (Figure 8).
 
+#![deny(missing_docs)]
+
 pub mod controller;
 pub mod dedup;
 pub mod depot;
@@ -48,22 +50,18 @@ pub mod scrape;
 pub mod stats;
 pub mod temporal;
 
-pub use controller::{
-    CentralizedController, ControllerConfig, DecodedSubmission, ServerFrontend, ServerHandle,
-    TcpServerHandle,
-};
+pub use controller::{CentralizedController, ControllerConfig, DecodedSubmission, TcpServerHandle};
 pub use dedup::{DedupIndex, DEFAULT_DEDUP_WINDOW};
 pub use depot::cache::{CacheError, XmlCache};
 pub use depot::archive::{ArchiveRule, ArchiveStore};
 pub use depot::depot::{CacheBackend, CacheRef, Depot, DepotError, DepotTiming};
-pub use depot::memo::{MemoValue, QueryMemo};
 pub use depot::rope::RopeCache;
 pub use federation::{
     rollup_branch, rollup_rule, rollup_series_prefix, routing_key, Federation,
     FederationConfig, PartitionMap,
 };
 pub use query::QueryInterface;
-pub use reactor::{ReactorConfig, ReactorHandle};
+pub use reactor::ReactorHandle;
 pub use scrape::{MetricsScraper, SELF_SCRAPE_TIERS, SELF_SERIES_PREFIX};
 pub use stats::{BucketStats, ResponseStats, SIZE_BUCKETS};
 pub use temporal::{Incident, IncidentCause, TemporalQuery, WindowAggregate};

@@ -30,9 +30,9 @@
 //!   in-flight frame budget simply stops reading — level triggering
 //!   re-reports the remaining sockets on the next pass.
 //!
-//! The old loop stays available as [`ServerFrontend::Threaded`] and is
-//! the oracle: both frontends must converge to byte-identical depot
-//! documents under connection chaos (`tests/net_frontend.rs`).
+//! The old loop stays available as [`serve_tcp`] and is the oracle:
+//! both frontends must converge to byte-identical depot documents under
+//! connection chaos (`tests/net_frontend.rs`).
 //!
 //! Instrumentation: `inca_net_connections`,
 //! `inca_net_readiness_wakeups_total`, `inca_net_frames_total`,
@@ -41,7 +41,6 @@
 //! exemplars join each report's lineage).
 //!
 //! [`serve_tcp`]: CentralizedController::serve_tcp
-//! [`ServerFrontend::Threaded`]: crate::controller::ServerFrontend
 //! [`EnvelopeMode::Binary`]: inca_wire::envelope::EnvelopeMode
 
 pub mod poller;
@@ -68,7 +67,7 @@ use poller::{Interest, Poller, Readiness};
 /// 10k-daemon envelope; tests shrink them to force the backpressure
 /// paths at toy sizes.
 #[derive(Debug, Clone)]
-pub struct ReactorConfig {
+pub(crate) struct ReactorConfig {
     /// Most frames gathered into one depot batch per readiness pass;
     /// reaching it pauses further reads for the pass (level triggering
     /// re-reports the unread sockets immediately after the batch).
@@ -277,7 +276,7 @@ impl CentralizedController {
     /// to exercise backpressure at toy sizes).
     ///
     /// [`serve_reactor`]: CentralizedController::serve_reactor
-    pub fn serve_reactor_config(
+    pub(crate) fn serve_reactor_config(
         self: &Arc<Self>,
         listener: TcpListener,
         config: ReactorConfig,

@@ -29,6 +29,8 @@
 //! `inca_controller_rejected_total{reason="decode"}` (see
 //! `docs/OBSERVABILITY.md` at the repository root).
 
+#![deny(missing_docs)]
+
 pub mod allowlist;
 pub mod binframe;
 pub mod envelope;

@@ -26,7 +26,6 @@ use inca::server::{
 };
 use inca::sim::{ForwardFault, ForwardFaultConfig, Vo};
 use inca::wire::allowlist::HostAllowlist;
-use inca::wire::envelope::EnvelopeMode;
 use inca::wire::message::{ClientMessage, ServerResponse};
 
 const N_SITES: usize = 200;
@@ -181,7 +180,7 @@ fn rollups_forward_exactly_once_under_chaos_and_answer_vo_compliance() {
         allowlist: HostAllowlist::from_entries(
             fed.partition_map().partitions().iter().cloned(),
         ),
-        envelope_mode: EnvelopeMode::Binary,
+        ..ControllerConfig::default()
     };
     let root = Arc::new(CentralizedController::new(
         root_config,

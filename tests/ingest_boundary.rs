@@ -1,9 +1,11 @@
 //! The front-end → controller boundary carries a decoded message.
 //!
-//! Every ingest route — reactor, threaded loop, federation — decodes a
-//! received frame exactly once and hands the controller the decoded
-//! `ClientMessage`; the decode-count tests pin that with the debug
-//! counter in `inca_wire::message`. The relay test drives a real
+//! Every route that receives bytes — reactor, threaded loop,
+//! federation — decodes each frame exactly once and hands the
+//! controller the decoded `ClientMessage`; the simulator, whose
+//! messages never leave the process, decodes nothing. The decode-count
+//! tests pin both with the debug counter in `inca_wire::message`. The
+//! relay test drives a real
 //! `DepotRelay` → `TcpTransport` hop into both TCP front ends of a
 //! parent whose allowlist names only the relay: the boundary's single
 //! allowlist key (`ClientMessage::allowlist_key`) must honour `via`.
@@ -11,12 +13,12 @@
 //! The decode counter is process-wide, so every test here that makes
 //! the server decode holds [`SERIAL`] for its whole body.
 
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use inca::controller::{DepotRelay, SpoolConfig, TcpTransport, Transport};
 use inca::prelude::*;
-use inca::server::{CentralizedController, ControllerConfig, ServerFrontend};
+use inca::server::{CentralizedController, ControllerConfig};
 use inca::wire::message::{ClientMessage, ServerResponse};
 use inca::wire::HostAllowlist;
 
@@ -47,6 +49,27 @@ fn controller_with(allowlist: HostAllowlist) -> Arc<CentralizedController> {
     ))
 }
 
+fn loopback() -> TcpListener {
+    TcpListener::bind("127.0.0.1:0").unwrap()
+}
+
+/// Runs `check` against a fresh controller served by each TCP front
+/// end in turn: the reactor, then the threaded oracle. `check` gets the
+/// controller, the bound address and the front end's name.
+fn on_each_front_end(
+    allowlist: HostAllowlist,
+    check: impl Fn(&Arc<CentralizedController>, SocketAddr, &str),
+) {
+    let controller = controller_with(allowlist.clone());
+    let reactor = controller.serve_reactor(loopback()).unwrap();
+    check(&controller, reactor.addr(), "reactor");
+    reactor.stop();
+    let controller = controller_with(allowlist);
+    let threaded = controller.serve_tcp(loopback()).unwrap();
+    check(&controller, threaded.addr(), "threaded");
+    threaded.stop();
+}
+
 #[cfg(debug_assertions)]
 mod decode_once {
     use super::*;
@@ -72,16 +95,13 @@ mod decode_once {
     fn tcp_frontends_decode_each_frame_exactly_once() {
         let _guard = serial();
         let payloads = payloads();
-        for frontend in [ServerFrontend::Reactor, ServerFrontend::Threaded] {
-            let controller = controller_with(HostAllowlist::allow_all());
-            let handle =
-                controller.serve(frontend, TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+        on_each_front_end(HostAllowlist::allow_all(), |controller, addr, front_end| {
             let before = decode_calls();
             // Two connections, each pipelining its half in one write.
             let halves = payloads.split_at(payloads.len() / 2);
             let mut acked = 0;
             for half in [halves.0, halves.1] {
-                let mut stream = TcpStream::connect(handle.addr()).unwrap();
+                let mut stream = TcpStream::connect(addr).unwrap();
                 let mut wire = Vec::new();
                 for payload in half {
                     write_frame(&mut wire, payload).unwrap();
@@ -95,12 +115,11 @@ mod decode_once {
             assert_eq!(
                 decode_calls() - before,
                 payloads.len() as u64,
-                "{frontend:?}: one ClientMessage::decode per received frame"
+                "{front_end}: one ClientMessage::decode per received frame"
             );
-            assert_eq!(acked, payloads.len() - 2, "{frontend:?}");
-            assert_eq!(controller.with_depot(|d| d.stats().report_count()), 24, "{frontend:?}");
-            handle.stop();
-        }
+            assert_eq!(acked, payloads.len() - 2, "{front_end}");
+            assert_eq!(controller.with_depot(|d| d.stats().report_count()), 24, "{front_end}");
+        });
     }
 
     #[test]
@@ -112,16 +131,40 @@ mod decode_once {
         let fed = Federation::new(FederationConfig::default(), Obs::new());
         let before = decode_calls();
         let burst = fed.submit_batch(&submissions, now);
-        assert_eq!(decode_calls() - before, submissions.len() as u64, "submit_batch");
+        assert_eq!(decode_calls() - before, submissions.len() as u64, "one burst");
         assert_eq!(burst.iter().filter(|(r, _)| *r == ServerResponse::Ack).count(), 25);
 
         let fed = Federation::new(FederationConfig::default(), Obs::new());
         let before = decode_calls();
-        for (host, payload) in &submissions {
-            fed.submit(host, payload, now);
+        for submission in &submissions {
+            fed.submit_batch(std::slice::from_ref(submission), now);
         }
-        assert_eq!(decode_calls() - before, submissions.len() as u64, "submit");
+        assert_eq!(decode_calls() - before, submissions.len() as u64, "bursts of one");
         assert_eq!(fed.report_count(), 12, "3 reporters x 4 sites, routed by decoded branch");
+    }
+
+    /// The simulator's daemons build their messages in process, and the
+    /// drain hands them to the controller as they are: a fault-free run
+    /// decodes nothing, yet admits every report a daemon executed.
+    #[test]
+    fn simulated_drain_decodes_nothing() {
+        let _guard = serial();
+        let start = Timestamp::from_gmt(2004, 7, 7, 0, 0, 0);
+        let obs = Obs::new();
+        let run = SimRun::new(
+            teragrid_deployment(42, start, start + 2 * 3_600),
+            SimOptions { obs: Some(obs.clone()), verify_every_secs: None, ..Default::default() },
+        );
+        let before = decode_calls();
+        let outcome = run.run();
+        assert_eq!(decode_calls() - before, 0, "the in-process drain decodes no message");
+        let executed: u64 = outcome.daemons.iter().map(|d| d.stats().executed).sum();
+        assert!(executed > 0, "the run fired reporters");
+        assert_eq!(
+            obs.metrics().counter_value("inca_controller_accepted_total", &[]),
+            Some(executed),
+            "every executed report is admitted"
+        );
     }
 }
 
@@ -132,31 +175,28 @@ mod decode_once {
 #[test]
 fn relayed_rollup_is_accepted_by_parents_that_list_only_the_relay() {
     let _guard = serial();
-    for frontend in [ServerFrontend::Reactor, ServerFrontend::Threaded] {
-        let parent = controller_with(HostAllowlist::from_entries(["depot-west"]));
-        let handle = parent.serve(frontend, TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
-
+    on_each_front_end(HostAllowlist::from_entries(["depot-west"]), |parent, addr, front_end| {
         let mut relay = DepotRelay::new(
             "depot-west",
             SpoolConfig::default(),
-            Box::new(TcpTransport::new(handle.addr())),
+            Box::new(TcpTransport::new(addr)),
             &Obs::new(),
         );
         for seq in 1..=3 {
             relay.enqueue(stamped("leaf.site.example.org", seq));
         }
         let outcome = relay.deliver_due(1_000);
-        assert_eq!((outcome.delivered, outcome.rejected, outcome.failed), (3, 0, 0), "{frontend:?}");
+        assert_eq!((outcome.delivered, outcome.rejected, outcome.failed), (3, 0, 0), "{front_end}");
         assert!(relay.is_empty());
         assert_eq!(parent.with_depot(|d| d.stats().report_count()), 3);
 
         // The same leaf submitting directly — no hop stamp — is not
         // on the list.
-        let direct = TcpTransport::new(handle.addr()).send(&stamped("leaf.site.example.org", 9));
+        let direct = TcpTransport::new(addr).send(&stamped("leaf.site.example.org", 9));
         assert_eq!(
             direct,
             Ok(ServerResponse::Rejected("host leaf.site.example.org not in allowlist".into())),
-            "{frontend:?}"
+            "{front_end}"
         );
         assert_eq!(parent.with_depot(|d| d.stats().report_count()), 3);
         assert_eq!(
@@ -166,6 +206,5 @@ fn relayed_rollup_is_accepted_by_parents_that_list_only_the_relay() {
                 .counter_value("inca_controller_rejected_total", &[("reason", "allowlist")]),
             Some(1)
         );
-        handle.stop();
-    }
+    });
 }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use inca::prelude::*;
-use inca::server::{CentralizedController, ControllerConfig, ServerFrontend, ServerHandle};
+use inca::server::{CentralizedController, ControllerConfig};
 use inca::wire::envelope::EnvelopeMode;
 use inca::wire::frame::{read_frame, write_frame, FrameError};
 use inca::wire::message::{ClientMessage, ServerResponse};
@@ -59,9 +59,8 @@ fn controller_with(mode: EnvelopeMode) -> Arc<CentralizedController> {
     ))
 }
 
-fn serve(controller: &Arc<CentralizedController>, frontend: ServerFrontend) -> ServerHandle {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    controller.serve(frontend, listener).unwrap()
+fn loopback() -> TcpListener {
+    TcpListener::bind("127.0.0.1:0").unwrap()
 }
 
 /// Sends one framed message and waits for the reply.
@@ -78,7 +77,7 @@ fn frontends_converge_byte_identical_under_connection_chaos() {
 
     // Oracle: threaded frontend, fault-free delivery, XML envelopes.
     let threaded = controller_with(EnvelopeMode::Body);
-    let threaded_handle = serve(&threaded, ServerFrontend::Threaded);
+    let threaded_handle = threaded.serve_tcp(loopback()).unwrap();
     for d in 0..DAEMONS {
         let daemon = format!("d{d}.teragrid.org");
         let mut stream = TcpStream::connect(threaded_handle.addr()).unwrap();
@@ -95,7 +94,7 @@ fn frontends_converge_byte_identical_under_connection_chaos() {
     // retransmissions — at-least-once delivery, which the server's seq
     // dedup must flatten back to exactly-once.
     let reactor = controller_with(EnvelopeMode::Binary);
-    let reactor_handle = serve(&reactor, ServerFrontend::Reactor);
+    let reactor_handle = reactor.serve_reactor(loopback()).unwrap();
     let addr = reactor_handle.addr();
     let mut chaos = Chaos(0x1ca_2004);
     let mut retransmissions = 0u64;
@@ -151,7 +150,7 @@ fn frontends_converge_byte_identical_under_connection_chaos() {
 #[test]
 fn reactor_multiplexes_many_connections_through_the_public_surface() {
     let controller = controller_with(EnvelopeMode::Binary);
-    let handle = serve(&controller, ServerFrontend::Reactor);
+    let handle = controller.serve_reactor(loopback()).unwrap();
     let addr = handle.addr();
     let clients: Vec<_> = (0..16)
         .map(|d| {
@@ -183,8 +182,7 @@ fn threaded_frontend_reaps_handles_under_connection_churn() {
     // a long-lived server leaked both for every connection ever
     // accepted.
     let controller = controller_with(EnvelopeMode::Body);
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = controller.serve_tcp(listener).unwrap();
+    let handle = controller.serve_tcp(loopback()).unwrap();
     let addr = handle.addr();
     const CYCLES: usize = 30;
     for seq in 1..=CYCLES as u64 {
@@ -221,7 +219,7 @@ fn threaded_frontend_reaps_handles_under_connection_churn() {
 fn reactor_rejects_oversize_frames_like_the_threaded_loop() {
     use std::io::Write;
     let controller = controller_with(EnvelopeMode::Body);
-    let handle = serve(&controller, ServerFrontend::Reactor);
+    let handle = controller.serve_reactor(loopback()).unwrap();
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
     stream
         .write_all(&((inca::wire::frame::MAX_FRAME_LEN as u32) + 1).to_be_bytes())

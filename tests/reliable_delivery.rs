@@ -120,14 +120,13 @@ fn reconnect_mid_spool_drain_converges_exactly_once_on_reactor() {
     // finishes the drain. The reactor must multiplex the new
     // connection like any other and the seq dedup must flatten the
     // overlap: every report ingested exactly once.
-    use inca::server::ServerFrontend;
     let obs = Obs::new();
     let controller = Arc::new(CentralizedController::new(
         ControllerConfig::default(),
         Depot::with_obs(obs.clone()),
     ));
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = controller.serve(ServerFrontend::Reactor, listener).unwrap();
+    let handle = controller.serve_reactor(listener).unwrap();
     let addr = handle.addr();
 
     const TOTAL: u64 = 20;
