@@ -118,7 +118,6 @@ impl DistributedController {
         seed: u64,
         obs: Obs,
     ) -> DistributedController {
-        let scheduler = Scheduler::from_spec(&spec);
         let metrics = obs.metrics();
         let kills = metrics.counter(
             "inca_daemon_kills_total",
@@ -155,7 +154,7 @@ impl DistributedController {
         let spool = Spool::new(spec.resource.clone(), SpoolConfig::default());
         DistributedController {
             spec,
-            scheduler,
+            scheduler: Scheduler::default(),
             registry: BTreeMap::new(),
             transport,
             duration_model: DurationModel::new(seed),
@@ -229,13 +228,6 @@ impl DistributedController {
         &self.processes
     }
 
-    /// Earliest cron fire strictly after `t` (full cron scan; for the
-    /// incremental event loop use [`DistributedController::prime`] and
-    /// [`DistributedController::peek_next`]).
-    pub fn next_fire(&self, t: Timestamp) -> Option<Timestamp> {
-        self.scheduler.next_fire(t)
-    }
-
     /// Builds the wake-up queue with each entry's first fire strictly
     /// after `t`. Idempotent for the same `t`.
     pub fn prime(&mut self, t: Timestamp) {
@@ -280,23 +272,6 @@ impl DistributedController {
             }
         }
         Some(t)
-    }
-
-    /// Executes every entry due at `t` against the VO; returns how many
-    /// processes were forked.
-    pub fn run_due(&mut self, t: Timestamp, vo: &Vo) -> usize {
-        let due = self.scheduler.due_at(t);
-        let mut forked = 0;
-        for idx in due {
-            if !self.scheduler.dependency_satisfied(&self.spec, idx) {
-                self.stats.skipped_dependency += 1;
-                self.skipped.inc();
-                continue;
-            }
-            self.execute_entry(idx, t, vo);
-            forked += 1;
-        }
-        forked
     }
 
     fn execute_entry(&mut self, idx: usize, t: Timestamp, vo: &Vo) {

@@ -74,38 +74,6 @@ impl TcpTransport {
         TcpTransport { addr, stream: Mutex::new(None), read_timeout, write_timeout }
     }
 
-    fn send_once(&self, payload: &[u8]) -> Result<ServerResponse, String> {
-        let mut guard = self.stream.lock().expect("transport mutex");
-        if guard.is_none() {
-            let stream = TcpStream::connect_timeout(&self.addr, self.write_timeout)
-                .map_err(|e| format!("connect {}: {e}", self.addr))?;
-            stream.set_nodelay(true).ok();
-            stream
-                .set_read_timeout(Some(self.read_timeout))
-                .map_err(|e| format!("set read timeout: {e}"))?;
-            stream
-                .set_write_timeout(Some(self.write_timeout))
-                .map_err(|e| format!("set write timeout: {e}"))?;
-            *guard = Some(stream);
-        }
-        let stream = guard.as_mut().expect("just connected");
-        let result = write_frame(stream, payload)
-            .map_err(|e| format!("send: {e}"))
-            .and_then(|()| match read_frame(stream) {
-                Ok(reply) => {
-                    ServerResponse::decode(&reply).map_err(|e| format!("bad reply: {e}"))
-                }
-                Err(FrameError::Closed) => Err("server closed connection".into()),
-                Err(e) => Err(format!("recv: {e}")),
-            });
-        if result.is_err() {
-            *guard = None; // force reconnect on next attempt
-        }
-        result
-    }
-}
-
-impl TcpTransport {
     /// Writes every frame, then reads every reply — one network round
     /// trip of latency for the whole burst instead of one per message.
     /// Any failure poisons the connection and fails the rest of the
@@ -181,10 +149,9 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
+    /// A burst of one.
     fn send(&self, message: &ClientMessage) -> Result<ServerResponse, String> {
-        let payload = message.encode();
-        // One retry after reconnect, as a long-lived daemon would.
-        self.send_once(&payload).or_else(|_| self.send_once(&payload))
+        self.send_many(&[message]).pop().expect("one result per message")
     }
 
     fn send_many(&self, messages: &[&ClientMessage]) -> Vec<Result<ServerResponse, String>> {
@@ -193,8 +160,9 @@ impl Transport for TcpTransport {
         if results.iter().all(|r| r.is_ok()) {
             return results;
         }
-        // One whole-burst retry after reconnect, mirroring `send`; the
-        // server's seq dedup makes re-sending acked messages harmless.
+        // One whole-burst retry after reconnect, as a long-lived daemon
+        // would; the server's seq dedup makes re-sending acked messages
+        // harmless.
         self.send_many_once(&payloads)
     }
 }

@@ -12,9 +12,8 @@
 //!   cron frequency, expected runtime, branch identifier, args),
 //! * [`exec`] — the process table and the execution-duration model
 //!   (which reporters take how long, deterministic per seed),
-//! * [`scheduler`] — cron-table-driven scheduling with optional
-//!   reporter dependencies (the paper's §6 future work, implemented
-//!   here as an ablation),
+//! * [`scheduler`] — the dependency gate on reporter runs (the paper's
+//!   §6 future work, implemented here as an ablation),
 //! * [`forwarder`] — the [`Transport`] abstraction plus the TCP
 //!   implementation used in live deployments, and the [`DepotRelay`]
 //!   that turns a federated depot into an exactly-once forwarding

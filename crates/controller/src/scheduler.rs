@@ -1,46 +1,24 @@
-//! Scheduling: which spec entries fire when.
-//!
-//! A thin layer over [`inca_cron::CronTab`] keyed by entry index, plus
-//! the dependency gate of the paper's §6 future work ("we plan to
-//! enable more advanced test scheduling, specifically allowing for
-//! dependencies"): an entry with `depends_on` only runs while its
+//! Scheduling: the dependency gate of the paper's §6 future work ("we
+//! plan to enable more advanced test scheduling, specifically allowing
+//! for dependencies"): an entry with `depends_on` only runs while its
 //! dependency's most recent run succeeded.
+//!
+//! *When* entries fire is the daemon's wake-up heap
+//! (`DistributedController::prime` / `run_next_batch`), which asks each
+//! entry's cron expression for its next fire.
 
 use std::collections::BTreeMap;
-
-use inca_cron::CronTab;
-use inca_report::Timestamp;
 
 use crate::spec::Spec;
 
 /// Scheduler state for one controller.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Scheduler {
-    tab: CronTab<usize>,
     /// reporter name → most recent run success.
     last_success: BTreeMap<String, bool>,
 }
 
 impl Scheduler {
-    /// Builds the cron table from a spec.
-    pub fn from_spec(spec: &Spec) -> Scheduler {
-        let mut tab = CronTab::new();
-        for (idx, entry) in spec.entries.iter().enumerate() {
-            tab.add(entry.cron.clone(), idx);
-        }
-        Scheduler { tab, last_success: BTreeMap::new() }
-    }
-
-    /// Earliest fire strictly after `t`.
-    pub fn next_fire(&self, t: Timestamp) -> Option<Timestamp> {
-        self.tab.next_fire(t)
-    }
-
-    /// Entry indices due exactly at `t`.
-    pub fn due_at(&self, t: Timestamp) -> Vec<usize> {
-        self.tab.due_at(t).copied().collect()
-    }
-
     /// Whether `entry`'s dependency (if any) currently permits it.
     ///
     /// Semantics: no dependency → runnable; dependency never ran yet →
@@ -80,24 +58,10 @@ mod tests {
         spec
     }
 
-    fn ts(h: u32, m: u32) -> Timestamp {
-        Timestamp::from_gmt(2004, 7, 7, h, m, 0)
-    }
-
-    #[test]
-    fn fires_in_cron_order() {
-        let spec = spec();
-        let sched = Scheduler::from_spec(&spec);
-        assert_eq!(sched.next_fire(ts(13, 0)), Some(ts(13, 20)));
-        assert_eq!(sched.due_at(ts(13, 20)), vec![0]);
-        assert_eq!(sched.due_at(ts(13, 25)), vec![1]);
-        assert!(sched.due_at(ts(13, 21)).is_empty());
-    }
-
     #[test]
     fn dependency_gating() {
         let spec = spec();
-        let mut sched = Scheduler::from_spec(&spec);
+        let mut sched = Scheduler::default();
         // Bootstrap: dependency never ran, so b may run.
         assert!(sched.dependency_satisfied(&spec, 1));
         sched.record_outcome("a", false);

@@ -7,21 +7,18 @@
 //! period" — an hourly reporter might run at the 20th minute of every
 //! hour, another at the 31st.
 //!
-//! This crate provides the three pieces that behaviour needs:
+//! This crate provides the two pieces that behaviour needs:
 //!
 //! * [`expr::CronExpr`] — classic 5-field cron expressions (minute,
 //!   hour, day-of-month, month, day-of-week) with lists, ranges and
-//!   steps,
+//!   steps, and each expression's next fire after a given time, which
+//!   the controller's wake-up heap drives,
 //! * [`offset::Frequency`] — the *period* abstraction
 //!   (every-N-minutes/hourly/daily/weekly) plus deterministic random
-//!   offset assignment within the period,
-//! * [`tab::CronTab`] — a set of entries with earliest-next-fire
-//!   queries, which is what the controller's scheduling loop drives.
+//!   offset assignment within the period.
 
 pub mod expr;
 pub mod offset;
-pub mod tab;
 
 pub use expr::{CronError, CronExpr, Field};
 pub use offset::Frequency;
-pub use tab::{CronEntry, CronTab};

@@ -71,8 +71,8 @@ pub struct CentralizedController {
     config: ControllerConfig,
     /// Reader-writer lock, not a mutex: consumers, the health monitor
     /// and metric scrapes read the depot concurrently with each other;
-    /// only ingest takes the write side. The depot's interior query
-    /// memo has its own lock, so shared guards stay `Sync`-safe.
+    /// only ingest takes the write side. The depot's parsed-report memo
+    /// has its own lock, so set reads fill it under a shared guard.
     depot: RwLock<Depot>,
     /// Error reports received (the §3.1.3 special reports).
     error_reports: Mutex<u64>,

@@ -25,7 +25,7 @@ use inca_wire::message::WireError;
 
 use crate::depot::archive::{ArchiveRule, ArchiveStore};
 use crate::depot::cache::{branch_of, CacheError, XmlCache};
-use crate::depot::memo::{MemoValue, ParsedMemo, QueryMemo};
+use crate::depot::memo::ParsedMemo;
 use crate::depot::rope::RopeCache;
 use crate::stats::ResponseStats;
 
@@ -245,7 +245,7 @@ impl CacheStore {
     fn document(&self) -> Cow<'_, str> {
         match &self.backend {
             Backend::Splice(c) => Cow::Borrowed(c.document()),
-            Backend::Rope(c) => Cow::Owned((*c.document()).clone()),
+            Backend::Rope(c) => Cow::Owned(c.document()),
         }
     }
 }
@@ -254,20 +254,11 @@ impl CacheStore {
 ///
 /// What [`Depot::cache`] hands to the querying interface: the common
 /// read surface of both backends. `document()` borrows from the splice
-/// cache and materializes (generation-cached inside [`RopeCache`]) on
-/// the rope.
+/// cache and renders a fresh copy from the [`RopeCache`]'s spans.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheRef<'a>(&'a CacheStore);
 
 impl<'a> CacheRef<'a> {
-    /// Which backend this view reads from.
-    pub fn backend(&self) -> CacheBackend {
-        match self.0.backend {
-            Backend::Splice(_) => CacheBackend::Splice,
-            Backend::Rope(_) => CacheBackend::Rope,
-        }
-    }
-
     /// The full cache document.
     pub fn document(&self) -> Cow<'a, str> {
         self.0.document()
@@ -283,7 +274,10 @@ impl<'a> CacheRef<'a> {
         self.0.report_count()
     }
 
-    /// Mutation counter — the memo/materialization cache key.
+    /// Mutation counter, bumped once per non-empty write batch and
+    /// never by a compaction. Nothing in the depot caches by it; the
+    /// federation keys its merged global document on the partitions'
+    /// generations.
     pub fn generation(&self) -> u64 {
         self.0.generation()
     }
@@ -317,16 +311,7 @@ pub struct Depot {
     /// (`inca_depot_batch_insert_seconds`); the per-report share
     /// additionally lands in `inca_depot_insert_seconds`.
     batch_insert_hist: Arc<Histogram>,
-    /// Recent query results, stamped with the cache generation that
-    /// produced them (see [`QueryMemo`]). Interior mutability keeps it
-    /// usable through the controller's shared read guard.
-    memo: QueryMemo,
 }
-
-/// Distinct query keys the depot memoizes before evicting — sized for
-/// the status pages' working set, small enough that a full probe is a
-/// handful of string compares.
-const QUERY_MEMO_CAPACITY: usize = 32;
 
 impl Depot {
     /// An empty depot observing into [`Obs::global`].
@@ -397,7 +382,6 @@ impl Depot {
             compactions,
             batch_size_hist,
             batch_insert_hist,
-            memo: QueryMemo::new(QUERY_MEMO_CAPACITY),
         }
     }
 
@@ -432,8 +416,8 @@ impl Depot {
     /// and spliced into the cache; XML materialization waits until an
     /// archive rule or query actually needs the report tree.
     ///
-    /// The batch is one cache mutation (one generation, so one memo
-    /// invalidation) and one round of gauge updates, and each report's
+    /// The batch is one cache mutation (one generation bump) and one
+    /// round of gauge updates, and each report's
     /// [`DepotTiming::insert`] is its share of the batch's insert time
     /// — the whole insert for a batch of one. A decode failure rejects
     /// only that envelope; a cache failure (corruption) rejects the
@@ -555,41 +539,24 @@ impl Depot {
         CacheRef(&self.cache)
     }
 
-    /// Which cache backend this depot runs on.
-    pub fn cache_backend(&self) -> CacheBackend {
-        self.cache().backend()
+    /// [`XmlCache::subtree`]: the sub-document at `query`, copied out
+    /// of the cache.
+    pub(crate) fn query_subtree(&self, query: &BranchId) -> Result<Option<String>, CacheError> {
+        self.cache.subtree(query)
     }
 
-    /// [`XmlCache::subtree`] through the query memo. The returned flag
-    /// is `true` on a memo hit (the cache was not touched).
-    pub fn query_subtree(&self, query: &BranchId) -> Result<(Option<String>, bool), CacheError> {
-        let generation = self.cache.generation();
-        let key = format!("subtree:{query}");
-        if let Some(MemoValue::Subtree(v)) = self.memo.get(generation, &key) {
-            return Ok((v, true));
-        }
-        let v = self.cache.subtree(query)?;
-        self.memo.put(generation, key, MemoValue::Subtree(v.clone()));
-        Ok((v, false))
-    }
-
-    /// [`XmlCache::reports`] through the query memo. The returned flag
-    /// is `true` on a memo hit.
+    /// [`XmlCache::reports`]: every raw report matching `query` (all
+    /// when `None`), copied out of the cache in document order.
+    ///
+    /// The flag is always `false`: nothing answers this read but the
+    /// cache. The tuple stays because the gated benchmark destructures
+    /// it; it goes when that benchmark is next re-baselined (ROADMAP
+    /// item 1(a)).
     pub fn query_reports(
         &self,
         query: Option<&BranchId>,
     ) -> Result<(Vec<(BranchId, String)>, bool), CacheError> {
-        let generation = self.cache.generation();
-        let key = match query {
-            Some(q) => format!("reports:{q}"),
-            None => "reports:*".to_string(),
-        };
-        if let Some(MemoValue::Reports(v)) = self.memo.get(generation, &key) {
-            return Ok((v, true));
-        }
-        let v = self.cache.reports(query)?;
-        self.memo.put(generation, key, MemoValue::Reports(v.clone()));
-        Ok((v, false))
+        Ok((self.cache.reports(query)?, false))
     }
 
     /// Every cached report matching `query` (all when `None`), parsed
@@ -603,17 +570,17 @@ impl Depot {
         self.cache.parsed_reports(query)
     }
 
-    /// [`XmlCache::report_exact`] through the query memo. The returned
-    /// flag is `true` on a memo hit.
+    /// The report stored exactly at `branch`, borrowed from the cache
+    /// (an arena slice on the rope, a document slice on the splice).
+    pub(crate) fn report_exact(&self, branch: &BranchId) -> Option<&str> {
+        self.cache.report_exact(branch)
+    }
+
+    /// The report stored exactly at `branch`, copied out of the cache.
+    /// The flag is always `false` and, like [`Depot::query_reports`]'s,
+    /// stays only for the gated benchmark (ROADMAP item 1(a)).
     pub fn query_report_exact(&self, branch: &BranchId) -> (Option<String>, bool) {
-        let generation = self.cache.generation();
-        let key = format!("exact:{branch}");
-        if let Some(MemoValue::Exact(v)) = self.memo.get(generation, &key) {
-            return (v, true);
-        }
-        let v = self.cache.report_exact(branch).map(str::to_string);
-        self.memo.put(generation, key, MemoValue::Exact(v.clone()));
-        (v, false)
+        (self.report_exact(branch).map(str::to_string), false)
     }
 
     /// The archive store (read access for the querying interface).

@@ -27,18 +27,16 @@
 //!   byte-for-byte — no piece offsets need shifting, ever.
 //!
 //! An insert is a tree walk plus an arena append: O(report + depth ·
-//! log fanout), independent of cache size. [`RopeCache::document`]
-//! materializes the contiguous string only on demand and caches it per
-//! [`RopeCache::generation`], so repeated reads between mutations cost
-//! one `Arc` clone — the same generation the depot's `QueryMemo` keys
-//! its entries by.
+//! log fanout), independent of cache size. Nothing derived from the
+//! tree is kept beside it: [`RopeCache::document`] renders the
+//! contiguous string from the current spans on every call, one pass
+//! over the live bytes into one exact-capacity allocation, and the
+//! reads render or borrow only what they return.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use inca_report::BranchId;
 use inca_xml::escape::escape_attr;
-use parking_lot::Mutex;
 
 use super::cache::{branch_of, CacheError, XmlCache};
 
@@ -80,9 +78,8 @@ struct Node {
 /// `reports`, `report_exact`, `from_document`, `generation`) with the
 /// same semantics — including generation-bump behaviour, batch dedup
 /// (last content wins) and canonical document order — but with O(report)
-/// writes. `document()` returns an `Arc<String>` because the string is
-/// materialized lazily and shared between readers at the same
-/// generation.
+/// writes. `document()` returns an owned `String`, rendered on demand:
+/// the rope never holds the contiguous document.
 #[derive(Debug)]
 pub struct RopeCache {
     arena: String,
@@ -95,9 +92,6 @@ pub struct RopeCache {
     /// left behind by replaced reports, reclaimable by [`Self::compact`].
     live_arena: usize,
     report_count: usize,
-    /// `(generation, document)` of the last materialization. Interior
-    /// mutability: readers holding a shared lock still warm the cache.
-    doc_cache: Mutex<Option<(u64, Arc<String>)>>,
 }
 
 impl Default for RopeCache {
@@ -122,7 +116,6 @@ impl RopeCache {
             live_bytes: ROOT_OPEN.len() + ROOT_CLOSE.len(),
             live_arena: 0,
             report_count: 0,
-            doc_cache: Mutex::new(None),
         }
     }
 
@@ -140,13 +133,12 @@ impl RopeCache {
             rope.insert(&branch, &xml);
         }
         rope.generation = 0;
-        debug_assert_eq!(*rope.document(), *oracle.document());
+        debug_assert_eq!(rope.document(), oracle.document());
         Ok(rope)
     }
 
     /// Monotone counter bumped by every successful mutation — same
-    /// contract as [`XmlCache::generation`], and the key under which
-    /// both `document()` and the depot's `QueryMemo` cache results.
+    /// contract as [`XmlCache::generation`].
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -244,9 +236,8 @@ impl RopeCache {
     /// garbage accrued. The allocation and its resident pages are
     /// reused, so the appends after a compaction write into memory the
     /// process has already touched instead of faulting in a fresh
-    /// arena. The document is untouched (same bytes, same generation),
-    /// so the materialization cache and every `QueryMemo` entry keyed
-    /// on the generation stay valid.
+    /// arena. The document is untouched (same bytes, same generation):
+    /// every read after it renders the same bytes from the moved spans.
     pub fn compact(&mut self) {
         let mut spans = Vec::new();
         collect_spans(&mut self.root, &mut spans);
@@ -292,24 +283,16 @@ impl RopeCache {
         true
     }
 
-    /// The full document, materialized on demand and cached until the
-    /// next mutation. Readers at the same generation share one
-    /// allocation (`Arc` clone).
-    pub fn document(&self) -> Arc<String> {
-        let mut cached = self.doc_cache.lock();
-        if let Some((generation, doc)) = cached.as_ref() {
-            if *generation == self.generation {
-                return Arc::clone(doc);
-            }
-        }
+    /// The full document, rendered from the current spans into one
+    /// allocation of exactly [`Self::size_bytes`]: O(live bytes) per
+    /// call, nothing kept.
+    pub fn document(&self) -> String {
         let mut out = String::with_capacity(self.live_bytes);
         out.push_str(ROOT_OPEN);
         self.render(&self.root, &mut out);
         out.push_str(ROOT_CLOSE);
         debug_assert_eq!(out.len(), self.live_bytes, "size_bytes drifted from the document");
-        let doc = Arc::new(out);
-        *cached = Some((self.generation, Arc::clone(&doc)));
-        doc
+        out
     }
 
     /// Canonical in-order render of a node's *contents* (report, then
@@ -453,7 +436,7 @@ mod tests {
     #[test]
     fn empty_documents_match() {
         let (rope, oracle) = pair();
-        assert_eq!(*rope.document(), *oracle.document());
+        assert_eq!(rope.document(), oracle.document());
         assert_eq!(rope.size_bytes(), oracle.size_bytes());
     }
 
@@ -463,7 +446,7 @@ mod tests {
         let id = b("reporter=version.gcc,resource=m1,site=sdsc,vo=tg");
         rope.update(&id, "<incaReport>gcc</incaReport>").unwrap();
         oracle.update(&id, "<incaReport>gcc</incaReport>").unwrap();
-        assert_eq!(*rope.document(), *oracle.document());
+        assert_eq!(rope.document(), oracle.document());
         assert_eq!(rope.size_bytes(), oracle.size_bytes());
         assert_eq!(rope.report_count(), 1);
         assert_eq!(rope.generation(), 1);
@@ -480,7 +463,7 @@ mod tests {
             rope.update(&id, xml).unwrap();
             oracle.update(&id, xml).unwrap();
         }
-        assert_eq!(*rope.document(), *oracle.document());
+        assert_eq!(rope.document(), oracle.document());
         assert_eq!(rope.report_count(), 1);
         // The first report's bytes are garbage in the arena now.
         assert!(rope.arena_bytes() > rope.size_bytes() - ROOT_OPEN.len() - ROOT_CLOSE.len());
@@ -499,14 +482,14 @@ mod tests {
             rope.update(&b(id), "<incaReport/>").unwrap();
             oracle.update(&b(id), "<incaReport/>").unwrap();
         }
-        assert_eq!(*rope.document(), *oracle.document());
+        assert_eq!(rope.document(), oracle.document());
         let (mut rope2, mut oracle2) = pair();
         for id in ids.iter().rev() {
             rope2.update(&b(id), "<incaReport/>").unwrap();
             oracle2.update(&b(id), "<incaReport/>").unwrap();
         }
-        assert_eq!(*rope2.document(), *rope.document());
-        assert_eq!(*oracle2.document(), *oracle.document());
+        assert_eq!(rope2.document(), rope.document());
+        assert_eq!(oracle2.document(), oracle.document());
     }
 
     #[test]
@@ -522,7 +505,7 @@ mod tests {
         rope.insert_batch(&items).unwrap();
         oracle.insert_batch(&items).unwrap();
         assert_eq!(rope.generation(), 1);
-        assert_eq!(*rope.document(), *oracle.document());
+        assert_eq!(rope.document(), oracle.document());
         assert_eq!(rope.report_exact(&x).unwrap(), "<incaReport>last</incaReport>");
         rope.insert_batch(&[]).unwrap();
         assert_eq!(rope.generation(), 1, "empty batch must not bump");
@@ -553,20 +536,8 @@ mod tests {
         let id = BranchId::new(vec![("reporter".to_string(), "a<b&\"c\"".to_string())]).unwrap();
         rope.update(&id, "<incaReport/>").unwrap();
         oracle.update(&id, "<incaReport/>").unwrap();
-        assert_eq!(*rope.document(), *oracle.document());
+        assert_eq!(rope.document(), oracle.document());
         assert_eq!(rope.report_exact(&id), oracle.report_exact(&id));
-    }
-
-    #[test]
-    fn document_is_cached_per_generation() {
-        let (mut rope, _) = pair();
-        rope.update(&b("reporter=r,site=s"), "<incaReport/>").unwrap();
-        let first = rope.document();
-        let second = rope.document();
-        assert!(Arc::ptr_eq(&first, &second), "same generation must share one allocation");
-        rope.update(&b("reporter=q,site=s"), "<incaReport/>").unwrap();
-        let third = rope.document();
-        assert!(!Arc::ptr_eq(&first, &third));
     }
 
     #[test]
@@ -582,19 +553,17 @@ mod tests {
             }
         }
         assert!(rope.garbage_bytes() > 0, "replacements must leave garbage");
-        let before = rope.document();
         let generation = rope.generation();
         rope.compact();
         assert_eq!(rope.garbage_bytes(), 0, "compaction reclaims all garbage");
         assert_eq!(rope.arena_bytes(), rope.arena.len());
         assert_eq!(rope.generation(), generation, "compaction is not a mutation");
-        let after = rope.document();
-        assert!(Arc::ptr_eq(&before, &after), "materialization cache survives compaction");
-        // Force a re-render from the rewritten spans and check against
-        // the splice oracle byte-for-byte.
+        // The document renders from the moved spans: byte-for-byte the
+        // splice oracle's, right after the move and after a write.
+        assert_eq!(rope.document(), oracle.document());
         rope.update(&b("reporter=z,site=t"), "<incaReport/>").unwrap();
         oracle.update(&b("reporter=z,site=t"), "<incaReport/>").unwrap();
-        assert_eq!(*rope.document(), *oracle.document());
+        assert_eq!(rope.document(), oracle.document());
         // Reads still resolve through the rewritten spans.
         assert_eq!(rope.subtree(&b("site=s")).unwrap(), oracle.subtree(&b("site=s")).unwrap());
         assert_eq!(rope.reports(None).unwrap(), oracle.reports(None).unwrap());
@@ -683,7 +652,7 @@ mod tests {
             rope.arena.capacity()
         );
         assert!(rope.arena.capacity() <= 2 * live);
-        assert_eq!(*rope.document(), *oracle.document());
+        assert_eq!(rope.document(), oracle.document());
     }
 
     #[test]
@@ -693,8 +662,8 @@ mod tests {
             rope.update(&b(id), &format!("<incaReport>{id}</incaReport>")).unwrap();
         }
         let doc = rope.document();
-        let restored = RopeCache::from_document((*doc).clone()).unwrap();
-        assert_eq!(*restored.document(), *doc);
+        let restored = RopeCache::from_document(doc.clone()).unwrap();
+        assert_eq!(restored.document(), doc);
         assert_eq!(restored.report_count(), rope.report_count());
         assert_eq!(restored.size_bytes(), rope.size_bytes());
         assert_eq!(restored.generation(), 0);

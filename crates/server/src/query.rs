@@ -23,11 +23,12 @@ use crate::temporal::TemporalQuery;
 pub struct QueryInterface<'a> {
     depot: &'a Depot,
     /// Cache-query latency (`inca_depot_query_seconds{result="hit"}`):
-    /// queries answered from the depot's memo without touching the
-    /// cache.
+    /// set reads whose every report was already parsed (the depot's
+    /// parsed-report memo answered them whole).
     query_hit_hist: Arc<Histogram>,
     /// Cache-query latency (`inca_depot_query_seconds{result="miss"}`):
-    /// queries that went to the cache (and refreshed the memo).
+    /// every other query — point and subtree reads, and set reads that
+    /// parsed at least one report.
     query_miss_hist: Arc<Histogram>,
 }
 
@@ -52,7 +53,7 @@ impl<'a> QueryInterface<'a> {
         QueryInterface { depot, query_hit_hist, query_miss_hist }
     }
 
-    /// Records one query's latency under its memo outcome label.
+    /// Records one query's latency under its `result` label.
     fn observe(&self, hit: bool, elapsed: std::time::Duration) {
         if hit {
             self.query_hit_hist.observe_duration(elapsed);
@@ -80,7 +81,7 @@ impl<'a> QueryInterface<'a> {
     /// identifier is supplied, the entire contents of the cache is
     /// returned").
     pub fn current_all(&self) -> String {
-        self.depot.cache().document().to_string()
+        self.depot.cache().document().into_owned()
     }
 
     /// Merges per-partition report sets into one cache document.
@@ -97,7 +98,7 @@ impl<'a> QueryInterface<'a> {
         let items: Vec<(&BranchId, &str)> =
             sets.iter().flatten().map(|(branch, xml)| (branch, xml.as_str())).collect();
         cache.insert_batch(&items)?;
-        Ok(cache.document().to_string())
+        Ok(cache.document())
     }
 
     /// The raw cache subtree matching a branch-identifier query, or
@@ -105,16 +106,8 @@ impl<'a> QueryInterface<'a> {
     pub fn current(&self, query: &BranchId) -> Result<Option<String>, CacheError> {
         let start = std::time::Instant::now();
         let result = self.depot.query_subtree(query);
-        match result {
-            Ok((value, hit)) => {
-                self.observe(hit, start.elapsed());
-                Ok(value)
-            }
-            Err(e) => {
-                self.observe(false, start.elapsed());
-                Err(e)
-            }
-        }
+        self.observe(false, start.elapsed());
+        result
     }
 
     /// The single report at a full branch identifier, parsed.
@@ -122,17 +115,17 @@ impl<'a> QueryInterface<'a> {
     /// One exact-match lookup: a full identifier names exactly
     /// one cached report (ids are unique per level), so there is no
     /// need to collect every deeper report that merely *ends* with the
-    /// query and filter afterwards.
+    /// query and filter afterwards. The report is parsed straight from
+    /// the cached bytes, which are borrowed, not copied.
     pub fn report(&self, branch: &BranchId) -> Result<Option<Report>, CacheError> {
         let start = std::time::Instant::now();
-        let (xml, hit) = self.depot.query_report_exact(branch);
-        self.observe(hit, start.elapsed());
-        match xml {
-            Some(xml) => Ok(Some(Report::parse(&xml).map_err(|e| {
-                CacheError::Corrupt(format!("cached report unparseable: {e}"))
-            })?)),
-            None => Ok(None),
-        }
+        let xml = self.depot.report_exact(branch);
+        self.observe(false, start.elapsed());
+        xml.map(|xml| {
+            Report::parse(xml)
+                .map_err(|e| CacheError::Corrupt(format!("cached report unparseable: {e}")))
+        })
+        .transpose()
     }
 
     /// All cached reports matching a suffix query (or every report),
@@ -280,117 +273,64 @@ mod tests {
         assert_eq!(q.temporal().resource_reports("tg", "ncsa", "tg2").unwrap().len(), 1);
     }
 
-    #[test]
-    fn repeated_queries_hit_the_memo_until_ingest_invalidates() {
-        // An isolated registry: the hit/miss counts below must not see
-        // queries from concurrently running tests.
-        let mut depot = Depot::with_obs(inca_obs::Obs::new());
-        let t = Timestamp::from_secs(1_000);
-        for (branch, value) in [
-            ("reporter=version.globus,resource=tg1,site=sdsc,vo=tg", "2.4.3"),
-            ("reporter=version.mpich,resource=tg1,site=sdsc,vo=tg", "1.2.5"),
-            ("reporter=version.globus,resource=tg2,site=ncsa,vo=tg", "2.4.1"),
-        ] {
-            let report = ReportBuilder::new("r", "1.0")
-                .gmt(t)
-                .body_value("packageVersion", value)
-                .success()
-                .unwrap();
-            let env = Envelope::new(branch.parse().unwrap(), report.to_xml());
-            depot.receive(&env.encode(EnvelopeMode::Body), t).unwrap();
-        }
-        let q = QueryInterface::new(&depot);
+    /// On one backend, twice over: a write is visible to the next point
+    /// and subtree read, both land under `result="miss"`, and a repeated
+    /// set read lands under `result="hit"` until the next write.
+    fn reads_see_every_write_and_only_parsed_set_reads_hit(
+        backend: crate::depot::depot::CacheBackend,
+    ) {
         let branch: BranchId =
             "reporter=version.globus,resource=tg1,site=sdsc,vo=tg".parse().unwrap();
         let site: BranchId = "site=sdsc,vo=tg".parse().unwrap();
-        // First pass misses, second pass hits, and hits return the
-        // exact same answers.
-        let first = (
-            q.current(&site).unwrap(),
-            q.report(&branch).unwrap().map(|r| r.to_xml()),
-            q.reports(None).unwrap().len(),
-        );
-        let second = (
-            q.current(&site).unwrap(),
-            q.report(&branch).unwrap().map(|r| r.to_xml()),
-            q.reports(None).unwrap().len(),
-        );
-        assert_eq!(first, second);
-        let metrics = depot.obs().metrics();
-        let hits = metrics
-            .histogram_of("inca_depot_query_seconds", &[("result", "hit")])
-            .expect("hit series registered");
-        let misses = metrics
-            .histogram_of("inca_depot_query_seconds", &[("result", "miss")])
-            .expect("miss series registered");
-        assert_eq!(misses.count(), 3, "first pass goes to the cache");
-        assert_eq!(hits.count(), 3, "second pass is served by the memo");
-
-        // Ingest bumps the cache generation: the same queries miss
-        // again and observe the new data.
-        let t = Timestamp::from_secs(2_000);
-        let report = ReportBuilder::new("r", "1.0")
-            .gmt(t)
-            .body_value("packageVersion", "9.9.9")
-            .success()
-            .unwrap();
-        let env = Envelope::new(branch.clone(), report.to_xml());
-        depot.receive(&env.encode(EnvelopeMode::Body), t).unwrap();
-        let q = QueryInterface::new(&depot);
-        assert_eq!(misses.count(), 3);
-        let fresh = q.report(&branch).unwrap().unwrap();
         let p: inca_xml::IncaPath = "packageVersion".parse().unwrap();
-        assert_eq!(fresh.body.lookup_text(&p).unwrap(), "9.9.9");
-        assert_eq!(misses.count(), 4, "generation bump invalidates the memo");
+        let envelope = |version: &str| {
+            let report = ReportBuilder::new("r", "1.0")
+                .gmt(Timestamp::from_secs(1_000))
+                .body_value("packageVersion", version)
+                .success()
+                .unwrap();
+            Envelope::new(branch.clone(), report.to_xml()).encode(EnvelopeMode::Binary)
+        };
+        // An isolated registry: the counts below must not see queries
+        // from concurrently running tests.
+        let obs = inca_obs::Obs::new();
+        let mut depot = Depot::with_obs_backend(obs.clone(), backend);
+        let count = |result: &str| {
+            obs.metrics()
+                .histogram_of("inca_depot_query_seconds", &[("result", result)])
+                .map_or(0, |h| h.count())
+        };
+        for (round, version) in ["2.4.3", "9.9.9"].into_iter().enumerate() {
+            depot.receive(&envelope(version), Timestamp::from_secs(1_000)).unwrap();
+            let (hits, misses) = (count("hit"), count("miss"));
+            let q = QueryInterface::new(&depot);
+            // The next point and subtree reads see the write.
+            let report = q.report(&branch).unwrap().unwrap();
+            assert_eq!(report.body.lookup_text(&p).unwrap(), version, "{backend:?}");
+            let subtree = q.current(&site).unwrap().unwrap();
+            assert!(subtree.contains(version), "{backend:?} round {round}");
+            // Point and subtree reads always go to the cache.
+            assert_eq!((count("hit"), count("miss")), (hits, misses + 2), "{backend:?}");
+            // A set read parses what was written since the last one (a
+            // miss); repeated, it is answered from the parsed memo (a hit).
+            assert_eq!(q.reports(None).unwrap().len(), 1);
+            assert_eq!(q.reports(None).unwrap().len(), 1);
+            assert_eq!((count("hit"), count("miss")), (hits + 1, misses + 3), "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn repeated_queries_hit_the_memo_until_ingest_invalidates() {
+        reads_see_every_write_and_only_parsed_set_reads_hit(
+            crate::depot::depot::CacheBackend::Splice,
+        );
     }
 
     #[test]
     fn memo_tracks_the_rope_generation_counter() {
-        // Same contract on the O(report) backend: pure reads are
-        // served by the memo, an arena-path insert (binary-framed, so
-        // the report bytes are spliced without parsing) bumps the
-        // rope's generation and invalidates it.
-        use crate::depot::depot::CacheBackend;
-        let mut depot =
-            Depot::with_obs_backend(inca_obs::Obs::new(), CacheBackend::Rope);
-        let t = Timestamp::from_secs(1_000);
-        let branch: BranchId =
-            "reporter=version.globus,resource=tg1,site=sdsc,vo=tg".parse().unwrap();
-        let mk = |v: &str| {
-            ReportBuilder::new("r", "1.0")
-                .gmt(t)
-                .body_value("packageVersion", v)
-                .success()
-                .unwrap()
-        };
-        let env = Envelope::new(branch.clone(), mk("2.4.3").to_xml());
-        depot.receive(&env.encode(EnvelopeMode::Binary), t).unwrap();
-
-        let q = QueryInterface::new(&depot);
-        let site: BranchId = "site=sdsc,vo=tg".parse().unwrap();
-        let first = q.current(&site).unwrap();
-        let second = q.current(&site).unwrap();
-        assert_eq!(first, second);
-        let metrics = depot.obs().metrics();
-        let hits = metrics
-            .histogram_of("inca_depot_query_seconds", &[("result", "hit")])
-            .expect("hit series registered");
-        let misses = metrics
-            .histogram_of("inca_depot_query_seconds", &[("result", "miss")])
-            .expect("miss series registered");
-        assert_eq!(misses.count(), 1, "first read goes to the rope");
-        assert_eq!(hits.count(), 1, "repeat read is served by the memo");
-
-        // An arena-path insert bumps the generation: the memo misses
-        // and observes the new report.
-        let env = Envelope::new(branch.clone(), mk("9.9.9").to_xml());
-        depot.receive(&env.encode(EnvelopeMode::Binary), t).unwrap();
-        let q = QueryInterface::new(&depot);
-        let fresh = q.report(&branch).unwrap().unwrap();
-        let p: inca_xml::IncaPath = "packageVersion".parse().unwrap();
-        assert_eq!(fresh.body.lookup_text(&p).unwrap(), "9.9.9");
-        assert_eq!(misses.count(), 2, "rope generation bump invalidates the memo");
-        assert_eq!(hits.count(), 1);
+        reads_see_every_write_and_only_parsed_set_reads_hit(
+            crate::depot::depot::CacheBackend::Rope,
+        );
     }
 
     #[test]

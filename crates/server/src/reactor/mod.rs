@@ -7,7 +7,7 @@
 //! readiness reactor in the spirit of the 2004 paper's single-daemon
 //! depot, scaled three orders of magnitude:
 //!
-//! * **One reactor thread** owns a level-triggered [`Poller`] (epoll on
+//! * **One reactor thread** owns a level-triggered `Poller` (epoll on
 //!   Linux, `poll(2)` fallback elsewhere), the listener, and every
 //!   connection.
 //! * **Per-connection state machines** reassemble the length-prefixed
@@ -43,7 +43,7 @@
 //! [`serve_tcp`]: CentralizedController::serve_tcp
 //! [`EnvelopeMode::Binary`]: inca_wire::envelope::EnvelopeMode
 
-pub mod poller;
+mod poller;
 
 use std::collections::{BTreeSet, HashMap};
 use std::io::{self, Read, Write};

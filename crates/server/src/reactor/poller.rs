@@ -25,30 +25,30 @@ use std::os::unix::io::RawFd;
 
 /// What a file descriptor is ready for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Readiness {
+pub(crate) struct Readiness {
     /// Caller-chosen token registered with the fd.
-    pub token: u64,
+    pub(crate) token: u64,
     /// Readable (or a peer hangup, which reads as EOF).
-    pub readable: bool,
+    pub(crate) readable: bool,
     /// Writable.
-    pub writable: bool,
+    pub(crate) writable: bool,
     /// Error/hangup condition; the connection should be torn down
     /// after draining whatever reads remain.
-    pub error: bool,
+    pub(crate) error: bool,
 }
 
 /// Interest set for a registered descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
+pub(crate) struct Interest {
     /// Watch for readability.
-    pub read: bool,
+    pub(crate) read: bool,
     /// Watch for writability.
-    pub write: bool,
+    pub(crate) write: bool,
 }
 
 impl Interest {
     /// Read-only interest.
-    pub const READ: Interest = Interest { read: true, write: false };
+    pub(crate) const READ: Interest = Interest { read: true, write: false };
 }
 
 #[cfg(target_os = "linux")]
@@ -107,13 +107,13 @@ mod sys {
     }
 
     /// Level-triggered epoll instance.
-    pub struct Poller {
+    pub(crate) struct Poller {
         epfd: RawFd,
         events: Vec<EpollEvent>,
     }
 
     impl Poller {
-        pub fn new(capacity: usize) -> io::Result<Poller> {
+        pub(crate) fn new(capacity: usize) -> io::Result<Poller> {
             let epfd = unsafe { cvt(epoll_create1(EPOLL_CLOEXEC))? };
             Ok(Poller { epfd, events: vec![EpollEvent { events: 0, data: 0 }; capacity] })
         }
@@ -134,20 +134,30 @@ mod sys {
             unsafe { cvt(epoll_ctl(self.epfd, op, fd, &mut ev)) }.map(|_| ())
         }
 
-        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn register(
+            &mut self,
+            fd: RawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, token, interest)
         }
 
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn modify(
+            &mut self,
+            fd: RawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.ctl(EPOLL_CTL_MOD, fd, token, interest)
         }
 
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
             let mut ev = EpollEvent { events: 0, data: 0 };
             unsafe { cvt(epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev)) }.map(|_| ())
         }
 
-        pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Readiness>) -> io::Result<()> {
+        pub(crate) fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Readiness>) -> io::Result<()> {
             out.clear();
             let n = loop {
                 let ret = unsafe {
@@ -214,32 +224,42 @@ mod sys {
     }
 
     /// Portable `poll(2)` fallback with the epoll surface.
-    pub struct Poller {
+    pub(crate) struct Poller {
         registered: BTreeMap<RawFd, (u64, Interest)>,
         scratch: Vec<PollFd>,
     }
 
     impl Poller {
-        pub fn new(_capacity: usize) -> io::Result<Poller> {
+        pub(crate) fn new(_capacity: usize) -> io::Result<Poller> {
             Ok(Poller { registered: BTreeMap::new(), scratch: Vec::new() })
         }
 
-        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn register(
+            &mut self,
+            fd: RawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.registered.insert(fd, (token, interest));
             Ok(())
         }
 
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn modify(
+            &mut self,
+            fd: RawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.registered.insert(fd, (token, interest));
             Ok(())
         }
 
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
             self.registered.remove(&fd);
             Ok(())
         }
 
-        pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Readiness>) -> io::Result<()> {
+        pub(crate) fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Readiness>) -> io::Result<()> {
             out.clear();
             self.scratch.clear();
             for (&fd, &(_, interest)) in &self.registered {
@@ -286,34 +306,34 @@ mod sys {
 
 /// The platform poller: level-triggered epoll on Linux, `poll(2)`
 /// elsewhere. One instance per reactor thread.
-pub struct Poller {
+pub(crate) struct Poller {
     inner: sys::Poller,
 }
 
 impl Poller {
     /// A poller sized to report up to `capacity` ready fds per wait.
-    pub fn new(capacity: usize) -> io::Result<Poller> {
+    pub(crate) fn new(capacity: usize) -> io::Result<Poller> {
         Ok(Poller { inner: sys::Poller::new(capacity)? })
     }
 
     /// Starts watching `fd` under `token` with the given interest.
-    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    pub(crate) fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.inner.register(fd, token, interest)
     }
 
     /// Replaces the interest set of a watched fd.
-    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    pub(crate) fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.inner.modify(fd, token, interest)
     }
 
     /// Stops watching `fd`.
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
         self.inner.deregister(fd)
     }
 
     /// Blocks up to `timeout_ms` (-1 = forever) and fills `out` with
     /// ready descriptors.
-    pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Readiness>) -> io::Result<()> {
+    pub(crate) fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Readiness>) -> io::Result<()> {
         self.inner.wait(timeout_ms, out)
     }
 }

@@ -1,8 +1,10 @@
 //! Property tests for the piece-table write path: across arbitrary
 //! interleavings of single updates and batch inserts, the rope cache
 //! must reproduce the splice [`XmlCache`] oracle byte-for-byte — the
-//! materialized document, every read, and the generation counter the
-//! query memo keys on.
+//! rendered document, every read, and the generation counter. A
+//! compaction keeps the generation, and the document after one is
+//! rendered from the moved spans, so the check after a `Compact` step
+//! reads the spans the compaction wrote.
 
 use proptest::prelude::*;
 

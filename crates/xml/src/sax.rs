@@ -155,11 +155,17 @@ impl SaxDriver {
 }
 
 /// Convenience: parse a document with a handler, requiring full
-/// consumption (no early exit) and well-formedness.
+/// consumption and well-formedness. A handler that stops the walk
+/// early has not seen the whole document, so that is an error here;
+/// use [`SaxDriver::parse`] for early-exit queries.
 pub fn parse_document<H: SaxHandler>(input: &str, handler: &mut H) -> XmlResult<()> {
-    let completed = SaxDriver::new().parse(input, handler)?;
-    debug_assert!(completed || true);
-    Ok(())
+    if SaxDriver::new().parse(input, handler)? {
+        Ok(())
+    } else {
+        Err(XmlError::Constraint {
+            message: "handler stopped before the end of the document".into(),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -240,6 +246,14 @@ mod tests {
         let mut rec = Recorder { stop_after: Some(2), ..Default::default() };
         let done = SaxDriver::new().parse("<a><b/><c/><d/></a>", &mut rec).unwrap();
         assert!(!done);
+        assert_eq!(rec.events.len(), 2);
+    }
+
+    #[test]
+    fn parse_document_rejects_an_early_exit() {
+        let mut rec = Recorder { stop_after: Some(2), ..Default::default() };
+        let err = parse_document("<a><b/><c/><d/></a>", &mut rec).unwrap_err();
+        assert!(matches!(err, XmlError::Constraint { .. }), "{err}");
         assert_eq!(rec.events.len(), 2);
     }
 

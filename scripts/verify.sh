@@ -1,5 +1,5 @@
 #!/bin/sh
-# The full verify flow: the tier-1 gate (ROADMAP.md), what tier-1
+# The full verify flow: the tier-1 gate (ROADMAP.md), clippy, what tier-1
 # leaves out because it is slow, the gated pipeline benchmark's tests
 # and smoke pass, smoke passes of the three curves it does not carry
 # yet, and the documentation gate.
@@ -13,6 +13,11 @@ cargo build --release
 # proptests and integration tests beside the root tests/ suite.
 echo "== tier-1: cargo test -q =="
 cargo test -q
+
+# Lints over every crate and target. A clippy error (a deny-level lint)
+# fails the step; warnings are reported and allowed.
+echo "== clippy =="
+cargo clippy --workspace --all-targets --offline
 
 # What tier-1 #[ignore]s for time: the depot's Figure 9 scaling check
 # over multi-megabyte caches, and paper_check's replay of all 151,955
