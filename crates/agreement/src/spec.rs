@@ -215,7 +215,7 @@ impl Agreement {
                 .unwrap_or_else(|| "*".to_string())
                 .parse()
                 .map_err(|e| XmlError::Constraint { message: e })?;
-            let require_unit_tests = p.attribute("unitTests").map_or(true, |v| v == "true");
+            let require_unit_tests = p.attribute("unitTests").is_none_or(|v| v == "true");
             a.packages.push(PackageRequirement { name, category, version, require_unit_tests });
         }
         for v in root.find_children("envVar") {

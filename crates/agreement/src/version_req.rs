@@ -145,7 +145,7 @@ impl VersionReq {
 
     /// Whether a raw version string satisfies the constraint.
     pub fn matches_str(&self, version: &str) -> bool {
-        Version::parse(version).map_or(false, |v| self.matches(&v))
+        Version::parse(version).is_some_and(|v| self.matches(&v))
     }
 }
 

@@ -73,7 +73,7 @@ fn report_set(n: usize, offset: usize) -> Vec<(BranchId, String)> {
             )
             .parse()
             .expect("generated branch is well-formed");
-            let xml = ReportBuilder::new(&format!("version.pkg{id}"), "1.0")
+            let xml = ReportBuilder::new(format!("version.pkg{id}"), "1.0")
                 .host(&resource)
                 .gmt(Timestamp::from_secs(1_089_158_400 + id as u64))
                 .body_value("packageVersion", format!("2.4.{}", id % 20))

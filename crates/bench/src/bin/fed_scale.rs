@@ -108,7 +108,6 @@ fn bench_point(sites: usize) -> Point {
             partitions: (0..N_PARTITIONS).map(|i| format!("depot{i}")).collect(),
             vo: "grid".into(),
             cache_byte_bound: Some(cache_byte_bound),
-            ..FederationConfig::default()
         },
         Obs::new(),
     );

@@ -126,8 +126,8 @@ mod tests {
             .unwrap();
         let known: Vec<f64> = series.known().map(|(_, v)| v).collect();
         assert!(known.len() > 100);
-        assert!(known.iter().any(|&v| v == 100.0));
-        assert!(known.iter().any(|&v| v == 50.0), "the outage hour must show");
+        assert!(known.contains(&100.0));
+        assert!(known.contains(&50.0), "the outage hour must show");
         let stats = series.stats().unwrap();
         assert!(stats.mean > 90.0 && stats.mean < 100.0);
     }

@@ -86,7 +86,7 @@ pub fn build_stack_page(
                     saw_data = t
                         .error
                         .as_deref()
-                        .map_or(true, |e| !e.contains("no version data"));
+                        .is_none_or(|e| !e.contains("no version data"));
                     all_green &= t.passed;
                 } else if t.id.starts_with(&unit_prefix) {
                     all_green &= t.passed;

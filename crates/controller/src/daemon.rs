@@ -397,11 +397,7 @@ impl DistributedController {
     /// transport failure.
     pub fn deliver_pending(&mut self, t: Timestamp) {
         let now = t.as_secs();
-        loop {
-            let head = match self.spool.head_if_due(now) {
-                Some(entry) => entry,
-                None => break,
-            };
+        while let Some(head) = self.spool.head_if_due(now) {
             if head.attempts > 0 {
                 self.retries.inc();
             }
@@ -804,9 +800,11 @@ mod tests {
     #[test]
     fn lost_sends_stay_spooled_and_retry_on_next_fire() {
         use parking_lot::Mutex;
+        /// Each send's origin and whether it was delivered.
+        type Sends = Vec<(Option<(String, u64)>, bool)>;
         struct Flaky {
             failures_left: Mutex<u32>,
-            sent: Mutex<Vec<(Option<(String, u64)>, bool)>>,
+            sent: Mutex<Sends>,
         }
         impl Transport for Arc<Flaky> {
             fn send(&self, m: &ClientMessage) -> Result<ServerResponse, String> {

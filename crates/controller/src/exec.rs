@@ -48,7 +48,7 @@ impl DurationModel {
         };
         let h = self.hash(reporter, t);
         let jitter = 0.5 + (h % 1_000) as f64 / 1_000.0; // 0.5–1.5
-        let hang = (h >> 10) % 100 == 0; // ~1% of runs hang
+        let hang = (h >> 10).is_multiple_of(100); // ~1% of runs hang
         let secs = (base as f64 * jitter) as u64;
         if hang {
             secs.saturating_mul(10).max(1)

@@ -92,7 +92,7 @@ impl ImpactModel {
             let recent = started - starts.partition_point(|&s| s + 11 <= secs);
             samples.push(self.sample_at(t, i, live, recent));
             // Alternate 10 and 11 second gaps (mean 10.5 s).
-            t = t + if i % 2 == 0 { 10 } else { 11 };
+            t = t + if i.is_multiple_of(2) { 10 } else { 11 };
             i += 1;
         }
         samples

@@ -124,9 +124,7 @@ fn cross_site_target(
 fn expected_runtime(reporter: &str) -> u64 {
     if reporter.starts_with("version.") {
         60
-    } else if reporter.starts_with("unit.") {
-        300
-    } else if reporter.starts_with("grid.services.") {
+    } else if reporter.starts_with("unit.") || reporter.starts_with("grid.services.") {
         300
     } else if reporter.starts_with("network.") {
         600

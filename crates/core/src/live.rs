@@ -2,9 +2,9 @@
 //!
 //! The same components as [`crate::sim_run`], but the client→server
 //! hop is a real TCP connection through
-//! [`inca_controller::TcpTransport`] into
-//! [`inca_server::CentralizedController::serve_tcp`] — the wiring the
-//! 2004 system used between the ten TeraGrid login nodes and
+//! [`inca_controller::TcpTransport`] into the server's one TCP front
+//! end, [`inca_server::CentralizedController::serve_reactor`] — the
+//! wiring the 2004 system used between the ten TeraGrid login nodes and
 //! `inca.sdsc.edu`. Used by the integration tests and the `live_tcp`
 //! example; simulated time still drives the schedules while the bytes
 //! genuinely cross the loopback interface.
@@ -13,7 +13,7 @@ use std::net::TcpListener;
 use std::sync::Arc;
 
 use inca_controller::{DistributedController, TcpTransport};
-use inca_server::{CentralizedController, ControllerConfig, Depot, TcpServerHandle};
+use inca_server::{CentralizedController, ControllerConfig, Depot, ReactorHandle};
 use inca_wire::envelope::EnvelopeMode;
 use inca_wire::HostAllowlist;
 
@@ -23,8 +23,8 @@ use crate::deployment::Deployment;
 pub struct LiveDeployment {
     /// The server.
     pub server: Arc<CentralizedController>,
-    /// Handle keeping the TCP accept loop alive.
-    pub handle: TcpServerHandle,
+    /// Handle keeping the reactor alive.
+    pub handle: ReactorHandle,
     /// One daemon per resource, wired over TCP.
     pub daemons: Vec<DistributedController>,
 }
@@ -40,7 +40,7 @@ pub fn start_live(deployment: &Deployment, mode: EnvelopeMode) -> std::io::Resul
         d.add_archive_rule(inca_consumer::bandwidth_archive_rule(&deployment.agreement.vo))
     });
     let listener = TcpListener::bind("127.0.0.1:0")?;
-    let handle = server.serve_tcp(listener)?;
+    let handle = server.serve_reactor(listener)?;
     let addr = handle.addr();
     let mut daemons = Vec::with_capacity(deployment.assignments.len());
     for assignment in &deployment.assignments {

@@ -455,7 +455,7 @@ mod tests {
         let now = Timestamp::from_secs(1_000);
 
         // An observed ring with headroom: quiet.
-        let ring = std::sync::Arc::new(RingSink::observed(2, &obs.metrics()));
+        let ring = std::sync::Arc::new(RingSink::observed(2, obs.metrics()));
         obs.tracer().add_sink(ring.clone());
         obs.event("a").finish();
         assert!(monitor.evaluate(&depot, now).is_empty());

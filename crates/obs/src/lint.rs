@@ -15,10 +15,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+/// A sample's labels as `(name, value)` pairs.
+type Labels = Vec<(String, String)>;
+
 /// One parsed sample line.
 struct Sample {
     name: String,
-    labels: Vec<(String, String)>,
+    labels: Labels,
     value: f64,
 }
 
@@ -32,7 +35,7 @@ pub fn lint_exposition(text: &str) -> Vec<String> {
     let mut helped: BTreeSet<String> = BTreeSet::new();
     let mut sampled: BTreeSet<String> = BTreeSet::new();
     // Histogram family → label-set (minus le) → collected data.
-    let mut histograms: BTreeMap<String, BTreeMap<Vec<(String, String)>, HistogramSeries>> =
+    let mut histograms: BTreeMap<String, BTreeMap<Labels, HistogramSeries>> =
         BTreeMap::new();
 
     for (i, line) in text.lines().enumerate() {
@@ -142,7 +145,7 @@ fn lint_sample(
     lineno: usize,
     kinds: &BTreeMap<String, String>,
     sampled: &mut BTreeSet<String>,
-    histograms: &mut BTreeMap<String, BTreeMap<Vec<(String, String)>, HistogramSeries>>,
+    histograms: &mut BTreeMap<String, BTreeMap<Labels, HistogramSeries>>,
     problems: &mut Vec<String>,
 ) {
     sampled.insert(sample.name.clone());
@@ -267,8 +270,8 @@ impl HistogramSeries {
 /// returning `None` when the line is unusable.
 fn parse_sample(line: &str, lineno: usize, problems: &mut Vec<String>) -> Option<Sample> {
     let name_end = line
-        .find(|c: char| c == '{' || c == ' ')
-        .unwrap_or_else(|| line.len());
+        .find(['{', ' '])
+        .unwrap_or(line.len());
     let name = &line[..name_end];
     if name.is_empty() {
         problems.push(format!("line {lineno}: sample without a metric name: {line:?}"));
@@ -314,7 +317,7 @@ fn parse_sample(line: &str, lineno: usize, problems: &mut Vec<String>) -> Option
 
 /// Parses the label body after `{`, returning the pairs and the text
 /// after the closing `}`. Honors `\\`, `\"`, and `\n` escapes.
-fn parse_labels(mut s: &str) -> Result<(Vec<(String, String)>, &str), String> {
+fn parse_labels(mut s: &str) -> Result<(Labels, &str), String> {
     let mut labels = Vec::new();
     loop {
         if let Some(rest) = s.strip_prefix('}') {

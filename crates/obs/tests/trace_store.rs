@@ -124,7 +124,7 @@ fn reopen_after_crash_quarantines_torn_tail() {
         tracer.clear_sinks();
         // Simulate the crash: leak the store so Drop never writes the
         // final segment's footer.
-        std::mem::forget(Arc::try_unwrap(store).ok().expect("sole owner"));
+        std::mem::forget(Arc::try_unwrap(store).expect("sole owner"));
     }
 
     // Tear the final segment: append half an event line.
@@ -186,7 +186,7 @@ fn reopen_unsealed_clean_tail_without_quarantine() {
             tracer.span("depot.insert").field("fired_at", i).finish();
         }
         tracer.clear_sinks();
-        std::mem::forget(Arc::try_unwrap(store).ok().expect("sole owner"));
+        std::mem::forget(Arc::try_unwrap(store).expect("sole owner"));
     }
     let store = TraceStore::open(&dir, TraceStoreConfig::default()).unwrap();
     assert_eq!(store.quarantined_bytes(), 0);

@@ -52,7 +52,7 @@ impl Footer {
     /// Validates the spec rule that failures carry a message.
     pub fn validate(&self) -> XmlResult<()> {
         if self.status == ExitStatus::Failed
-            && self.error_message.as_deref().map_or(true, |m| m.trim().is_empty())
+            && self.error_message.as_deref().is_none_or(|m| m.trim().is_empty())
         {
             return Err(XmlError::Constraint {
                 message: "failed reports must include a non-empty error message".into(),

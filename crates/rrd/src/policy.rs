@@ -55,7 +55,7 @@ impl ArchivePolicy {
     /// Number of rows the archive needs for the requested history.
     pub fn rows(&self, measurement_period: u64) -> usize {
         let step = self.archive_step(measurement_period);
-        ((self.history_secs + step - 1) / step).max(1) as usize
+        self.history_secs.div_ceil(step).max(1) as usize
     }
 
     /// Compiles the policy into an [`Rrd`] for a reporter with the
@@ -107,7 +107,7 @@ impl ArchivePolicy {
         for &(factor, history_secs) in tiers {
             let steps = base_steps * factor.max(2);
             let span = period * steps as u64;
-            let rows = ((history_secs + span - 1) / span).max(1) as usize;
+            let rows = history_secs.div_ceil(span).max(1) as usize;
             archives.push(ArchiveDef { cf: ConsolidationFn::Average, xff: 0.5, steps, rows });
         }
         if self.keep_extremes {

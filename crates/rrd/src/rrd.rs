@@ -501,13 +501,13 @@ impl Rrd {
                 crate::ds::DsType::Absolute => "absolute",
             };
             out.push_str(&format!(
-                "source name={} type={ds_type} heartbeat={} min={} max={} last_raw={} accum={} known={}\n",
+                "source name={} type={ds_type} heartbeat={} min={} max={} last_raw={} accum={:016x} known={}\n",
                 ds.name,
                 ds.heartbeat,
                 ds.min.map_or("-".to_string(), |v| format!("{:016x}", v.to_bits())),
                 ds.max.map_or("-".to_string(), |v| format!("{:016x}", v.to_bits())),
                 state.last_raw.map_or("-".to_string(), |v| format!("{:016x}", v.to_bits())),
-                format!("{:016x}", state.accum.to_bits()),
+                state.accum.to_bits(),
                 state.known_secs,
             ));
         }
@@ -551,7 +551,7 @@ impl Rrd {
 
         let mut sources = Vec::new();
         let mut states = Vec::new();
-        while lines.peek().map_or(false, |l| l.starts_with("source ")) {
+        while lines.peek().is_some_and(|l| l.starts_with("source ")) {
             let line = lines.next().expect("peeked");
             let kv = parse_kv(line.strip_prefix("source ").expect("checked"));
             let opt_bits = |k: &str| -> Result<Option<f64>, RrdError> {

@@ -10,28 +10,19 @@
 //! depot."
 //!
 //! [`CentralizedController::submit_batch_decoded`] is the
-//! transport-independent core and the one route into the depot: both
-//! TCP front ends ([`serve_tcp`], the thread-per-connection oracle, and
-//! the reactor), the federation and the simulation harness admit
-//! through it, and every report reaches the cache through one
-//! [`Depot::receive_batch`]. What crosses from a front end into the
-//! controller is a [`DecodedSubmission`]: each frame is decoded (and
-//! its report validated) exactly once, where it is received, and
-//! admission works on the decoded message. The depot sits behind a
-//! reader-writer lock: submissions take the write side, while any
-//! number of query readers proceed concurrently — an improvement over
-//! the 2004 system, which serialized everything through its single Perl
-//! daemon.
-//!
-//! [`serve_tcp`]: CentralizedController::serve_tcp
+//! transport-independent core and the one route into the depot: the TCP
+//! front end ([`CentralizedController::serve_reactor`]), the federation
+//! and the simulation harness admit through it, and every report
+//! reaches the cache through one [`Depot::receive_batch`]. What crosses
+//! from a front end into the controller is a [`DecodedSubmission`]:
+//! each frame is decoded (and its report validated) exactly once, where
+//! it is received, and admission works on the decoded message. The
+//! depot sits behind a reader-writer lock: submissions take the write
+//! side, while any number of query readers proceed concurrently — an
+//! improvement over the 2004 system, which serialized everything
+//! through its single Perl daemon.
 
-use std::collections::HashMap;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -39,7 +30,6 @@ use inca_obs::metrics::{Counter, Gauge};
 use inca_obs::{Obs, Severity};
 use inca_report::Timestamp;
 use inca_wire::envelope::{Envelope, EnvelopeMode};
-use inca_wire::frame::{read_frame, write_frame, FrameError};
 use inca_wire::message::{ClientMessage, ServerResponse, WireError};
 use inca_wire::HostAllowlist;
 
@@ -142,11 +132,14 @@ impl DecodedSubmission {
     }
 }
 
+/// A message's delivery identity, `(daemon, seq)`, if it carries one.
+type Origin = Option<(String, u64)>;
+
 /// Outcome of admission: what to do with one submission.
 enum Admission {
     /// Envelope bytes for the depot, the open accept span, and the
     /// message's delivery identity (to un-record on depot failure).
-    Fresh(Vec<u8>, inca_obs::trace::Span, Option<(String, u64)>),
+    Fresh(Vec<u8>, inca_obs::trace::Span, Origin),
     /// Already ingested: ack idempotently, skip the depot.
     Duplicate,
     /// Refused before the depot (allowlist, decode).
@@ -264,7 +257,7 @@ impl CentralizedController {
 
     /// Un-records a delivery identity whose depot ingest failed, so the
     /// daemon's retry is not misclassified as a duplicate.
-    fn forget_origin(&self, origin: &Option<(String, u64)>) {
+    fn forget_origin(&self, origin: &Origin) {
         if let Some((daemon, seq)) = origin {
             self.dedup.lock().forget(daemon, *seq);
         }
@@ -314,7 +307,7 @@ impl CentralizedController {
     /// spliced by a single [`Depot::receive_batch`] — the amortization
     /// the paper's §5.2.2 scalability analysis calls for. A burst with
     /// nothing admitted never touches the depot. The reactor submits
-    /// every frame of a readiness pass here, the threaded loop and
+    /// every frame of a readiness pass here,
     /// [`CentralizedController::submit`] a batch of one, and the
     /// simulator each tick's drained spools.
     pub fn submit_batch_decoded(
@@ -325,8 +318,7 @@ impl CentralizedController {
         let submissions = submissions.into_iter();
         let mut results: Vec<Option<(ServerResponse, Option<DepotTiming>)>> =
             Vec::with_capacity(submissions.size_hint().0);
-        let mut admitted: Vec<(usize, inca_obs::trace::Span, Option<(String, u64)>)> =
-            Vec::new();
+        let mut admitted: Vec<(usize, inca_obs::trace::Span, Origin)> = Vec::new();
         let mut batch: Vec<Vec<u8>> = Vec::new();
         for (index, submission) in submissions.enumerate() {
             results.push(match self.admit(submission) {
@@ -393,204 +385,6 @@ impl CentralizedController {
     /// `inca_depot_duplicates_total`).
     pub fn duplicate_count(&self) -> u64 {
         self.dedup.lock().duplicate_count()
-    }
-
-    /// Starts a thread-per-connection TCP accept loop. Submissions use
-    /// wall-clock seconds for archive timestamps.
-    ///
-    /// This is the historical front end, kept as the oracle for the
-    /// reactor ([`CentralizedController::serve_reactor`], the scale
-    /// path): both speak the same framed protocol and admit through the
-    /// same [`CentralizedController::submit_batch_decoded`], so they
-    /// must build byte-identical depot documents from the same
-    /// submissions (proven under chaos in `tests/net_frontend.rs`).
-    ///
-    /// Finished workers (and their stream clones) are reaped on every
-    /// accept-loop pass, so a long-lived server under connection churn
-    /// holds only as many handles as it has *live* connections — they
-    /// previously accumulated for every connection ever accepted and
-    /// were released only at [`TcpServerHandle::stop`].
-    pub fn serve_tcp(
-        self: &Arc<Self>,
-        listener: TcpListener,
-    ) -> std::io::Result<TcpServerHandle> {
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        // Clones of live accepted streams, keyed by connection id, so
-        // `stop` can unblock worker threads parked in `read_frame` even
-        // while clients keep their connections open. Each worker drops
-        // its own entry on exit.
-        let connections: Arc<Mutex<HashMap<u64, TcpStream>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        let live_workers = Arc::new(AtomicUsize::new(0));
-        let controller = Arc::clone(self);
-        let stop = Arc::clone(&shutdown);
-        let conns = Arc::clone(&connections);
-        let conn_gauge = Arc::clone(&connections);
-        let workers_up = Arc::clone(&live_workers);
-        let accept_thread = std::thread::spawn(move || {
-            let mut workers: Vec<JoinHandle<()>> = Vec::new();
-            let mut next_id: u64 = 0;
-            while !stop.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, peer)) => {
-                        let id = next_id;
-                        next_id += 1;
-                        if let Ok(clone) = stream.try_clone() {
-                            conns.lock().insert(id, clone);
-                        }
-                        let controller = Arc::clone(&controller);
-                        let conns = Arc::clone(&conns);
-                        let live = Arc::clone(&workers_up);
-                        live.fetch_add(1, Ordering::SeqCst);
-                        workers.push(std::thread::spawn(move || {
-                            let _ = handle_connection(&controller, stream, peer);
-                            conns.lock().remove(&id);
-                            live.fetch_sub(1, Ordering::SeqCst);
-                        }));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-                // Reap finished workers as we go; joining a finished
-                // thread is immediate.
-                workers = workers
-                    .into_iter()
-                    .filter_map(|w| {
-                        if w.is_finished() {
-                            let _ = w.join();
-                            None
-                        } else {
-                            Some(w)
-                        }
-                    })
-                    .collect();
-            }
-            // Shutdown: sever every connection so blocked reads return,
-            // then reap the workers.
-            for conn in conns.lock().values() {
-                let _ = conn.shutdown(std::net::Shutdown::Both);
-            }
-            for w in workers {
-                let _ = w.join();
-            }
-        });
-        Ok(TcpServerHandle {
-            addr: local_addr,
-            shutdown,
-            accept_thread: Some(accept_thread),
-            connections: conn_gauge,
-            live_workers,
-        })
-    }
-}
-
-/// How long a connection may sit idle (or mid-frame) before the server
-/// reclaims its thread. Without this a stalled or half-dead peer holds
-/// a worker in `read_frame` forever.
-pub const SERVER_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Per-reply write deadline for the accept loop.
-pub const SERVER_WRITE_TIMEOUT: Duration = Duration::from_secs(10);
-
-fn handle_connection(
-    controller: &CentralizedController,
-    mut stream: TcpStream,
-    peer: SocketAddr,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(SERVER_IDLE_TIMEOUT))?;
-    stream.set_write_timeout(Some(SERVER_WRITE_TIMEOUT))?;
-    // Peer identity: in the 2004 deployment this was the reverse-DNS
-    // hostname; here the host the client message names for itself
-    // (`ClientMessage::allowlist_key`) is checked against the allowlist
-    // and the socket peer is recorded only for diagnostics.
-    let _ = peer;
-    loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(p) => p,
-            Err(FrameError::Closed) => return Ok(()),
-            // An idle-timeout expiry surfaces as WouldBlock (or
-            // TimedOut, platform-dependent): drop the connection; the
-            // daemon reconnects and its spool retries anything unacked.
-            Err(FrameError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Ok(());
-            }
-            Err(FrameError::Io(e)) => return Err(e),
-            Err(FrameError::TooLarge { .. }) => {
-                let resp = ServerResponse::Rejected("frame too large".into());
-                write_frame(&mut stream, &resp.encode())?;
-                return Ok(());
-            }
-        };
-        // The one decode of this frame; its bytes are done with.
-        let submission = DecodedSubmission::from_frame(&payload);
-        drop(payload);
-        let now = Timestamp::from_secs(
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0),
-        );
-        let (response, _) = controller
-            .submit_batch_decoded([submission], now)
-            .pop()
-            .expect("one response per submission");
-        write_frame(&mut stream, &response.encode())?;
-        stream.flush()?;
-    }
-}
-
-/// Handle to a running TCP server; shuts down on drop.
-pub struct TcpServerHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    connections: Arc<Mutex<HashMap<u64, TcpStream>>>,
-    live_workers: Arc<AtomicUsize>,
-}
-
-impl TcpServerHandle {
-    /// The bound address (use port 0 to pick a free port in tests).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stream clones currently held for live connections. Bounded by
-    /// live connections, not total connections ever accepted — the
-    /// churn regression in `tests/net_frontend.rs` pins this down.
-    pub fn connection_count(&self) -> usize {
-        self.connections.lock().len()
-    }
-
-    /// Worker threads currently serving connections.
-    pub fn worker_count(&self) -> usize {
-        self.live_workers.load(Ordering::SeqCst)
-    }
-
-    /// Requests shutdown and waits for the accept loop.
-    pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for TcpServerHandle {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
     }
 }
 
@@ -1000,81 +794,5 @@ pub(crate) mod tests {
         // before the spool existed).
         assert_eq!(controller.with_depot(|d| d.stats().report_count()), 2);
         assert_eq!(controller.duplicate_count(), 0);
-    }
-
-    #[test]
-    fn stalled_client_is_reaped_not_wedged() {
-        // A connection that opens and sends nothing must not hold a
-        // worker thread past the idle timeout. We can't wait the full
-        // 30 s in a unit test, so just prove the timeout is set and a
-        // live submission still works alongside a stalled peer.
-        let controller =
-            Arc::new(CentralizedController::new(ControllerConfig::default(), Depot::new()));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle = controller.serve_tcp(listener).unwrap();
-        let addr = handle.addr();
-        let _stalled = TcpStream::connect(addr).unwrap(); // never writes
-        let mut live = TcpStream::connect(addr).unwrap();
-        write_frame(&mut live, &stamped("h", 1)).unwrap();
-        let reply = read_frame(&mut live).unwrap();
-        assert_eq!(ServerResponse::decode(&reply).unwrap(), ServerResponse::Ack);
-        handle.stop();
-    }
-
-    #[test]
-    fn tcp_roundtrip() {
-        let controller =
-            Arc::new(CentralizedController::new(ControllerConfig::default(), Depot::new()));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle = controller.serve_tcp(listener).unwrap();
-        let addr = handle.addr();
-
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write_frame(&mut stream, &message("client.host.org")).unwrap();
-        let reply = read_frame(&mut stream).unwrap();
-        assert_eq!(ServerResponse::decode(&reply).unwrap(), ServerResponse::Ack);
-
-        // Second submission over the same connection.
-        write_frame(&mut stream, &message("client.host.org")).unwrap();
-        let reply = read_frame(&mut stream).unwrap();
-        assert_eq!(ServerResponse::decode(&reply).unwrap(), ServerResponse::Ack);
-        drop(stream);
-
-        // Give the worker a moment to finish, then check the depot.
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(controller.with_depot(|d| d.stats().report_count()), 2);
-        handle.stop();
-    }
-
-    #[test]
-    fn tcp_concurrent_clients_serialize_safely() {
-        let controller =
-            Arc::new(CentralizedController::new(ControllerConfig::default(), Depot::new()));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle = controller.serve_tcp(listener).unwrap();
-        let addr = handle.addr();
-        let clients: Vec<_> = (0..4)
-            .map(|i| {
-                std::thread::spawn(move || {
-                    let mut stream = TcpStream::connect(addr).unwrap();
-                    for _ in 0..5 {
-                        write_frame(&mut stream, &message(&format!("client{i}.org"))).unwrap();
-                        let reply = read_frame(&mut stream).unwrap();
-                        assert_eq!(
-                            ServerResponse::decode(&reply).unwrap(),
-                            ServerResponse::Ack
-                        );
-                    }
-                })
-            })
-            .collect();
-        for c in clients {
-            c.join().unwrap();
-        }
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(controller.with_depot(|d| d.stats().report_count()), 20);
-        // 4 distinct resources → 4 cached reports (same reporter each).
-        assert_eq!(controller.with_depot(|d| d.cache().report_count()), 4);
-        handle.stop();
     }
 }

@@ -196,7 +196,7 @@ impl XmlCache {
                 Token::StartTag { name: "branch", ref attrs, self_closing } => {
                     let pair = (attr(attrs, "name"), attr(attrs, "id"));
                     let want = hierarchy.get(matched).copied();
-                    if !self_closing && want.map_or(false, |(n, v)| pair == (Some(n), Some(v))) {
+                    if !self_closing && want.is_some_and(|(n, v)| pair == (Some(n), Some(v))) {
                         matched += 1;
                         if matched == hierarchy.len() {
                             let end = skip_subtree(&mut tok, "branch")?;
@@ -206,10 +206,8 @@ impl XmlCache {
                         skip_subtree(&mut tok, "branch")?;
                     }
                 }
-                Token::StartTag { name, self_closing, .. } => {
-                    if !self_closing {
-                        skip_subtree(&mut tok, name)?;
-                    }
+                Token::StartTag { name, self_closing: false, .. } => {
+                    skip_subtree(&mut tok, name)?;
                 }
                 Token::EndTag { name: "branch" } | Token::EndTag { name: "incaCache" } => {
                     // Either a matched level closed without the target
@@ -356,11 +354,9 @@ fn find_splice(doc: &str, hierarchy: &[(&str, &str)]) -> Result<Splice, CacheErr
             Token::EndTag { name: "branch" } | Token::EndTag { name: "incaCache" } => {
                 return Ok(Splice::Insert { at: pre, missing_from: matched });
             }
-            Token::StartTag { self_closing, name, .. } => {
-                // Unknown element (future cache extensions): skip.
-                if !self_closing {
-                    skip_subtree(&mut tok, name)?;
-                }
+            // Unknown element (future cache extensions): skip.
+            Token::StartTag { name, self_closing: false, .. } => {
+                skip_subtree(&mut tok, name)?;
             }
             _ => {}
         }
@@ -436,11 +432,9 @@ where
             Token::EndTag { name: "incaCache" } => {
                 return if open.len() == 1 { Ok(()) } else { Err(corrupt("unclosed <branch>")) };
             }
-            Token::StartTag { name, self_closing, .. } => {
-                // Unknown element (future cache extensions): skip.
-                if !self_closing {
-                    skip_subtree(&mut tok, name)?;
-                }
+            // Unknown element (future cache extensions): skip.
+            Token::StartTag { name, self_closing: false, .. } => {
+                skip_subtree(&mut tok, name)?;
             }
             _ => {}
         }

@@ -29,6 +29,9 @@ use crate::depot::memo::ParsedMemo;
 use crate::depot::rope::RopeCache;
 use crate::stats::ResponseStats;
 
+/// Parsed reports with their branches, in cache order.
+type ParsedReports = Vec<(BranchId, Arc<Report>)>;
+
 /// Errors from depot processing.
 #[derive(Debug)]
 pub enum DepotError {
@@ -202,7 +205,7 @@ impl CacheStore {
     fn parsed_reports(
         &self,
         query: Option<&BranchId>,
-    ) -> Result<(Vec<(BranchId, Arc<Report>)>, bool), CacheError> {
+    ) -> Result<(ParsedReports, bool), CacheError> {
         let mut out = Vec::new();
         let mut all_shared = true;
         let mut key = String::new();
@@ -566,7 +569,7 @@ impl Depot {
     pub(crate) fn parsed_reports(
         &self,
         query: Option<&BranchId>,
-    ) -> Result<(Vec<(BranchId, Arc<Report>)>, bool), CacheError> {
+    ) -> Result<(ParsedReports, bool), CacheError> {
         self.cache.parsed_reports(query)
     }
 

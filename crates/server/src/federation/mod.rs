@@ -293,7 +293,7 @@ impl Federation {
                 }
             }
         }
-        out.sort_by(|(a, _), (b, _)| a.to_string().cmp(&b.to_string()));
+        out.sort_by_key(|(a, _)| a.to_string());
         Ok(out)
     }
 

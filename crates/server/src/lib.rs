@@ -10,10 +10,10 @@
 //!   allowlist, wraps each report in an envelope addressed by its
 //!   branch identifier, and forwards it to the depot. All submissions
 //!   serialize through it, as in the 2004 system.
-//! * [`reactor`] — the event-driven server frontend: one thread, a
-//!   level-triggered readiness poller, per-connection framing state
-//!   machines, and explicit backpressure instead of thread-per-
-//!   connection — the 10k-daemon service envelope.
+//! * [`reactor`] — the TCP front end: a connection state machine with
+//!   no IO (framing, the pass budget, backpressure, the idle sweep)
+//!   inside a thin epoll shell on one thread — the 10k-daemon service
+//!   envelope.
 //! * [`depot`] — data management, caching and archiving. The paper's
 //!   cache is a **single XML document updated by streaming parse**
 //!   ([`XmlCache`]: insert time grows with cache size, §5.2 and
@@ -39,6 +39,7 @@
 //!   (Table 4) and received-size histograms (Figure 8).
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod controller;
 pub mod dedup;
@@ -50,7 +51,7 @@ pub mod scrape;
 pub mod stats;
 pub mod temporal;
 
-pub use controller::{CentralizedController, ControllerConfig, DecodedSubmission, TcpServerHandle};
+pub use controller::{CentralizedController, ControllerConfig, DecodedSubmission};
 pub use dedup::{DedupIndex, DEFAULT_DEDUP_WINDOW};
 pub use depot::cache::{CacheError, XmlCache};
 pub use depot::archive::{ArchiveRule, ArchiveStore};

@@ -114,6 +114,8 @@ mod sys {
 
     impl Poller {
         pub(crate) fn new(capacity: usize) -> io::Result<Poller> {
+            // SAFETY: `epoll_create1` takes a flags integer and no
+            // pointers; a negative return is turned into an error.
             let epfd = unsafe { cvt(epoll_create1(EPOLL_CLOEXEC))? };
             Ok(Poller { epfd, events: vec![EpollEvent { events: 0, data: 0 }; capacity] })
         }
@@ -131,6 +133,10 @@ mod sys {
 
         fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             let mut ev = EpollEvent { events: Self::mask(interest), data: token };
+            // SAFETY: `self.epfd` is the epoll fd this poller opened and
+            // closes only on drop; `ev` is a live, initialized
+            // `epoll_event` the kernel reads for the duration of the
+            // call. A bad `fd` is reported as an error, not UB.
             unsafe { cvt(epoll_ctl(self.epfd, op, fd, &mut ev)) }.map(|_| ())
         }
 
@@ -154,12 +160,20 @@ mod sys {
 
         pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
             let mut ev = EpollEvent { events: 0, data: 0 };
+            // SAFETY: as in `ctl`: `self.epfd` is open until drop, and
+            // `ev` (ignored by `EPOLL_CTL_DEL` on current kernels, but
+            // required non-null by old ones) is valid for the call.
             unsafe { cvt(epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev)) }.map(|_| ())
         }
 
         pub(crate) fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Readiness>) -> io::Result<()> {
             out.clear();
             let n = loop {
+                // SAFETY: `self.epfd` is open until drop; the kernel
+                // writes at most `maxevents` = `self.events.len()`
+                // entries into `self.events`, which owns exactly that
+                // many initialized `EpollEvent`s and is not otherwise
+                // borrowed during the call.
                 let ret = unsafe {
                     epoll_wait(
                         self.epfd,
@@ -174,6 +188,8 @@ mod sys {
                     Err(e) => return Err(e),
                 }
             };
+            // `n` ≤ `self.events.len()`: the kernel reports how many of
+            // the entries it filled, never more than `maxevents`.
             for ev in &self.events[..n] {
                 let bits = ev.events;
                 out.push(Readiness {
@@ -189,6 +205,9 @@ mod sys {
 
     impl Drop for Poller {
         fn drop(&mut self) {
+            // SAFETY: `self.epfd` was returned by `epoll_create1`, is
+            // owned by this poller alone, and is closed exactly once,
+            // here.
             unsafe {
                 close(self.epfd);
             }
@@ -273,6 +292,10 @@ mod sys {
                 self.scratch.push(PollFd { fd, events, revents: 0 });
             }
             let n = loop {
+                // SAFETY: `self.scratch` holds exactly
+                // `self.scratch.len()` initialized `PollFd`s and is not
+                // otherwise borrowed during the call; `poll` only
+                // writes their `revents` fields.
                 let ret = unsafe {
                     poll(self.scratch.as_mut_ptr(), self.scratch.len() as c_ulong, timeout_ms)
                 };

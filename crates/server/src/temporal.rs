@@ -17,6 +17,7 @@
 //! [`QueryInterface::temporal`]: crate::QueryInterface::temporal
 //! [`ArchiveStore`]: crate::ArchiveStore
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use inca_obs::metrics::{Histogram, DEFAULT_LATENCY_BOUNDS};
@@ -411,7 +412,10 @@ impl<'a> TemporalQuery<'a> {
                     });
                     run.end = point_end;
                     run.points += 1;
-                    if !value.is_nan() && !(run.trough <= value) {
+                    // The first value replaces the NaN placeholder.
+                    if !value.is_nan()
+                        && matches!(run.trough.partial_cmp(&value), Some(Ordering::Greater) | None)
+                    {
                         run.trough = value;
                     }
                 } else if let Some(done) = run.take() {

@@ -61,7 +61,7 @@ impl HostAllowlist {
             return true;
         }
         let host = host.trim().to_ascii_lowercase();
-        if self.exact.iter().any(|e| *e == host) {
+        if self.exact.contains(&host) {
             return true;
         }
         self.suffixes.iter().any(|s| host.ends_with(s.as_str()) && host.len() > s.len())

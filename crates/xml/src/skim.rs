@@ -67,16 +67,14 @@ pub fn skim_balanced(input: &str) -> XmlResult<&str> {
                     })
                 }
             },
-            Token::Text(text) if stack.is_empty() => {
-                if !text.trim().is_empty() {
-                    if root.is_some() {
-                        return Err(XmlError::TrailingContent { offset });
-                    }
-                    return Err(XmlError::Malformed {
-                        offset,
-                        message: "text before the root element".into(),
-                    });
+            Token::Text(text) if stack.is_empty() && !text.trim().is_empty() => {
+                if root.is_some() {
+                    return Err(XmlError::TrailingContent { offset });
                 }
+                return Err(XmlError::Malformed {
+                    offset,
+                    message: "text before the root element".into(),
+                });
             }
             Token::CData(_) if stack.is_empty() => {
                 return Err(XmlError::Malformed {

@@ -153,7 +153,7 @@ impl<'a> Tokenizer<'a> {
             let content = &body[..end];
             self.pos += 2 + end + 2;
             if content.starts_with("xml")
-                && content[3..].chars().next().map_or(true, |c| c.is_ascii_whitespace())
+                && content[3..].chars().next().is_none_or(|c| c.is_ascii_whitespace())
             {
                 return Ok(Token::Decl(content[3..].trim()));
             }

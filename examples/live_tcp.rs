@@ -4,7 +4,7 @@
 //! cargo run --release --example live_tcp
 //! ```
 //!
-//! Starts the centralized controller's TCP accept loop on a free
+//! Starts the centralized controller's reactor front end on a free
 //! localhost port, wires two distributed controllers to it through
 //! [`inca::controller::TcpTransport`], drives an hour of simulated
 //! schedule (the bytes genuinely cross the loopback interface), then

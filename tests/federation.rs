@@ -64,7 +64,6 @@ fn grid_federation(cache_byte_bound: Option<usize>) -> Federation {
             partitions: (0..N_PARTITIONS).map(|i| format!("depot{i}")).collect(),
             vo: "grid".into(),
             cache_byte_bound,
-            ..FederationConfig::default()
         },
         Obs::new(),
     )

@@ -1,13 +1,12 @@
 //! The front-end → controller boundary carries a decoded message.
 //!
-//! Every route that receives bytes — reactor, threaded loop,
-//! federation — decodes each frame exactly once and hands the
-//! controller the decoded `ClientMessage`; the simulator, whose
-//! messages never leave the process, decodes nothing. The decode-count
-//! tests pin both with the debug counter in `inca_wire::message`. The
-//! relay test drives a real
-//! `DepotRelay` → `TcpTransport` hop into both TCP front ends of a
-//! parent whose allowlist names only the relay: the boundary's single
+//! Every route that receives bytes — the reactor, the federation —
+//! decodes each frame exactly once and hands the controller the
+//! decoded `ClientMessage`; the simulator, whose messages never leave
+//! the process, decodes nothing. The decode-count tests pin both with
+//! the debug counter in `inca_wire::message`. The relay test drives a
+//! real `DepotRelay` → `TcpTransport` hop into the reactor of a parent
+//! whose allowlist names only the relay: the boundary's single
 //! allowlist key (`ClientMessage::allowlist_key`) must honour `via`.
 //!
 //! The decode counter is process-wide, so every test here that makes
@@ -53,21 +52,13 @@ fn loopback() -> TcpListener {
     TcpListener::bind("127.0.0.1:0").unwrap()
 }
 
-/// Runs `check` against a fresh controller served by each TCP front
-/// end in turn: the reactor, then the threaded oracle. `check` gets the
-/// controller, the bound address and the front end's name.
-fn on_each_front_end(
-    allowlist: HostAllowlist,
-    check: impl Fn(&Arc<CentralizedController>, SocketAddr, &str),
-) {
-    let controller = controller_with(allowlist.clone());
-    let reactor = controller.serve_reactor(loopback()).unwrap();
-    check(&controller, reactor.addr(), "reactor");
-    reactor.stop();
+/// Runs `check` against a fresh controller served by the reactor.
+/// `check` gets the controller and the bound address.
+fn on_reactor(allowlist: HostAllowlist, check: impl Fn(&Arc<CentralizedController>, SocketAddr)) {
     let controller = controller_with(allowlist);
-    let threaded = controller.serve_tcp(loopback()).unwrap();
-    check(&controller, threaded.addr(), "threaded");
-    threaded.stop();
+    let reactor = controller.serve_reactor(loopback()).unwrap();
+    check(&controller, reactor.addr());
+    reactor.stop();
 }
 
 #[cfg(debug_assertions)]
@@ -95,7 +86,7 @@ mod decode_once {
     fn tcp_frontends_decode_each_frame_exactly_once() {
         let _guard = serial();
         let payloads = payloads();
-        on_each_front_end(HostAllowlist::allow_all(), |controller, addr, front_end| {
+        on_reactor(HostAllowlist::allow_all(), |controller, addr| {
             let before = decode_calls();
             // Two connections, each pipelining its half in one write.
             let halves = payloads.split_at(payloads.len() / 2);
@@ -115,10 +106,10 @@ mod decode_once {
             assert_eq!(
                 decode_calls() - before,
                 payloads.len() as u64,
-                "{front_end}: one ClientMessage::decode per received frame"
+                "one ClientMessage::decode per received frame"
             );
-            assert_eq!(acked, payloads.len() - 2, "{front_end}");
-            assert_eq!(controller.with_depot(|d| d.stats().report_count()), 24, "{front_end}");
+            assert_eq!(acked, payloads.len() - 2);
+            assert_eq!(controller.with_depot(|d| d.stats().report_count()), 24);
         });
     }
 
@@ -169,13 +160,13 @@ mod decode_once {
 }
 
 /// A partition's relay forwards over real TCP to a parent that lists
-/// only the relay. Both front ends must accept the relayed message (the
-/// hop is authenticated, the leaf resource is not on the list) and
-/// refuse the same leaf submitting directly.
+/// only the relay. The reactor must accept the relayed message (the hop
+/// is authenticated, the leaf resource is not on the list) and refuse
+/// the same leaf submitting directly.
 #[test]
 fn relayed_rollup_is_accepted_by_parents_that_list_only_the_relay() {
     let _guard = serial();
-    on_each_front_end(HostAllowlist::from_entries(["depot-west"]), |parent, addr, front_end| {
+    on_reactor(HostAllowlist::from_entries(["depot-west"]), |parent, addr| {
         let mut relay = DepotRelay::new(
             "depot-west",
             SpoolConfig::default(),
@@ -186,7 +177,7 @@ fn relayed_rollup_is_accepted_by_parents_that_list_only_the_relay() {
             relay.enqueue(stamped("leaf.site.example.org", seq));
         }
         let outcome = relay.deliver_due(1_000);
-        assert_eq!((outcome.delivered, outcome.rejected, outcome.failed), (3, 0, 0), "{front_end}");
+        assert_eq!((outcome.delivered, outcome.rejected, outcome.failed), (3, 0, 0));
         assert!(relay.is_empty());
         assert_eq!(parent.with_depot(|d| d.stats().report_count()), 3);
 
@@ -195,8 +186,7 @@ fn relayed_rollup_is_accepted_by_parents_that_list_only_the_relay() {
         let direct = TcpTransport::new(addr).send(&stamped("leaf.site.example.org", 9));
         assert_eq!(
             direct,
-            Ok(ServerResponse::Rejected("host leaf.site.example.org not in allowlist".into())),
-            "{front_end}"
+            Ok(ServerResponse::Rejected("host leaf.site.example.org not in allowlist".into()))
         );
         assert_eq!(parent.with_depot(|d| d.stats().report_count()), 3);
         assert_eq!(

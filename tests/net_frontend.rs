@@ -1,22 +1,22 @@
-//! The two server frontends are interchangeable: byte-identical depots.
+//! The reactor front end admits like the in-process controller.
 //!
-//! The thread-per-connection loop is the historical oracle; the
-//! readiness reactor is the scale path. This suite drives the reactor
-//! through the public TCP surface under a seeded connection-chaos
-//! schedule (mid-burst disconnects, lost acks, blind retransmissions)
-//! and requires its final depot document to equal the threaded
-//! frontend's fault-free run byte for byte — while the reactor side
-//! additionally runs the zero-copy `EnvelopeMode::Binary` depot leg.
-//! It also pins the accept-loop resource fix: handles and workers stay
-//! bounded under connection churn instead of accumulating for every
-//! connection ever accepted.
+//! The in-process [`CentralizedController::submit_batch_decoded`] is
+//! the reference. This suite drives the reactor through the public TCP
+//! surface under a seeded connection-chaos schedule (mid-burst
+//! disconnects, lost acks, blind retransmissions) and requires its
+//! final depot document to equal, byte for byte, the one built by
+//! submitting the same messages straight to the controller — while the
+//! reactor side runs the zero-copy `EnvelopeMode::Binary` depot leg and
+//! the reference the XML `EnvelopeMode::Body` one. It also checks
+//! multiplexing, oversize frames, and that the reactor's connection
+//! count stays bounded under connection churn.
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use inca::prelude::*;
-use inca::server::{CentralizedController, ControllerConfig};
+use inca::server::{CentralizedController, ControllerConfig, DecodedSubmission};
 use inca::wire::envelope::EnvelopeMode;
 use inca::wire::frame::{read_frame, write_frame, FrameError};
 use inca::wire::message::{ClientMessage, ServerResponse};
@@ -33,7 +33,7 @@ impl Chaos {
     }
 
     fn one_in(&mut self, n: u64) -> bool {
-        self.next() % n == 0
+        self.next().is_multiple_of(n)
     }
 }
 
@@ -41,7 +41,7 @@ impl Chaos {
 /// rotating reporters, so later seqs replace earlier branches and the
 /// final document depends on per-daemon delivery order being preserved.
 fn stamped(daemon: &str, seq: u64) -> ClientMessage {
-    let report = ReportBuilder::new(&format!("probe.r{}", seq % 5), "1.0")
+    let report = ReportBuilder::new(format!("probe.r{}", seq % 5), "1.0")
         .host(daemon)
         .gmt(Timestamp::from_secs(1_000 + seq))
         .body_value("seq", seq.to_string())
@@ -75,18 +75,17 @@ fn frontends_converge_byte_identical_under_connection_chaos() {
     const DAEMONS: usize = 4;
     const SEQS: u64 = 12;
 
-    // Oracle: threaded frontend, fault-free delivery, XML envelopes.
-    let threaded = controller_with(EnvelopeMode::Body);
-    let threaded_handle = threaded.serve_tcp(loopback()).unwrap();
+    // Reference: every message straight into the controller, in each
+    // daemon's order, with XML envelopes.
+    let direct = controller_with(EnvelopeMode::Body);
     for d in 0..DAEMONS {
         let daemon = format!("d{d}.teragrid.org");
-        let mut stream = TcpStream::connect(threaded_handle.addr()).unwrap();
-        for seq in 1..=SEQS {
-            assert_eq!(call(&mut stream, &stamped(&daemon, seq)).unwrap(), ServerResponse::Ack);
-        }
+        let frames =
+            (1..=SEQS).map(|seq| DecodedSubmission::from_frame(&stamped(&daemon, seq).encode()));
+        let acks = direct.submit_batch_decoded(frames, Timestamp::from_secs(1_000));
+        assert!(acks.iter().all(|(r, _)| *r == ServerResponse::Ack));
     }
-    threaded_handle.stop();
-    let oracle_doc = threaded.with_depot(|d| d.cache().document().to_string());
+    let direct_doc = direct.with_depot(|d| d.cache().document().to_string());
 
     // Reactor under chaos, on the zero-copy binary depot leg. Each
     // daemon walks its seq window in order; the chaos schedule cuts
@@ -133,8 +132,8 @@ fn frontends_converge_byte_identical_under_connection_chaos() {
 
     let reactor_doc = reactor.with_depot(|d| d.cache().document().to_string());
     assert_eq!(
-        reactor_doc, oracle_doc,
-        "chaos run on the reactor must converge to the threaded fault-free document"
+        reactor_doc, direct_doc,
+        "chaos run on the reactor must converge to the in-process document"
     );
     assert_eq!(
         reactor.with_depot(|d| d.stats().report_count()),
@@ -176,13 +175,9 @@ fn reactor_multiplexes_many_connections_through_the_public_surface() {
 }
 
 #[test]
-fn threaded_frontend_reaps_handles_under_connection_churn() {
-    // Regression: the accept loop used to push every worker JoinHandle
-    // and stream clone into Vecs that were only drained at `stop`, so
-    // a long-lived server leaked both for every connection ever
-    // accepted.
+fn reactor_connection_count_stays_bounded_under_connection_churn() {
     let controller = controller_with(EnvelopeMode::Body);
-    let handle = controller.serve_tcp(loopback()).unwrap();
+    let handle = controller.serve_reactor(loopback()).unwrap();
     let addr = handle.addr();
     const CYCLES: usize = 30;
     for seq in 1..=CYCLES as u64 {
@@ -191,32 +186,24 @@ fn threaded_frontend_reaps_handles_under_connection_churn() {
             call(&mut stream, &stamped("churn.teragrid.org", seq)).unwrap(),
             ServerResponse::Ack
         );
-        drop(stream); // connection closed; its worker must be reaped
+        drop(stream); // the reactor must close its end on EOF
     }
-    // One extra accept gives the loop a pass to reap the last batch.
-    let _probe = TcpStream::connect(addr).unwrap();
+    // Closing on EOF is the reactor's next pass; poll for it.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while (handle.worker_count() > 2 || handle.connection_count() > 2)
-        && Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(20));
+    while handle.connection_count() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
     }
-    assert!(
-        handle.worker_count() <= 2,
-        "{} workers alive after churn of {CYCLES} connections",
-        handle.worker_count()
-    );
-    assert!(
-        handle.connection_count() <= 2,
-        "{} stream clones held after churn of {CYCLES} connections",
-        handle.connection_count()
+    assert_eq!(
+        handle.connection_count(),
+        0,
+        "connections held after churn of {CYCLES} closed ones"
     );
     assert_eq!(controller.with_depot(|d| d.stats().report_count()), CYCLES as u64);
     handle.stop();
 }
 
 #[test]
-fn reactor_rejects_oversize_frames_like_the_threaded_loop() {
+fn reactor_rejects_oversize_frames_then_closes() {
     use std::io::Write;
     let controller = controller_with(EnvelopeMode::Body);
     let handle = controller.serve_reactor(loopback()).unwrap();
