@@ -25,6 +25,8 @@
 //! conservative reports/second floor and on actually reaching the
 //! advertised connection counts.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Command, Stdio};
@@ -32,7 +34,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use inca_report::{BranchId, ReportBuilder, Timestamp};
-use inca_server::{CacheBackend, CentralizedController, ControllerConfig, Depot};
+use inca_server::{CentralizedController, ControllerConfig, Depot};
 use inca_wire::envelope::EnvelopeMode;
 use inca_wire::frame::read_frame;
 use inca_wire::message::{ClientMessage, ServerResponse};
@@ -104,6 +106,14 @@ mod rlimit {
     }
 
     pub fn raise_nofile(want: u64) -> u64 {
+        // SAFETY: `getrlimit` and `setrlimit` only read or write the one
+        // `Rlimit` they are handed, and every pointer passed is to a
+        // live, initialized `Rlimit` on this stack frame, laid out as
+        // the C `struct rlimit` (`#[repr(C)]`, two `u64`s: `rlim_t` on
+        // 64-bit targets).
+        // Each return code is checked before its `Rlimit` is trusted: a
+        // failed `getrlimit` returns a default without reading `cur`,
+        // and a failed `setrlimit` changes nothing.
         unsafe {
             let mut cur = Rlimit { cur: 0, max: 0 };
             if getrlimit(RLIMIT_NOFILE, &mut cur) != 0 {
@@ -223,7 +233,7 @@ fn bench_point(cfg: &Config, daemons: usize) -> Point {
     let obs = inca_obs::Obs::new();
     let controller = Arc::new(CentralizedController::new(
         ControllerConfig { envelope_mode: EnvelopeMode::Binary, ..ControllerConfig::default() },
-        Depot::with_obs_backend(obs.clone(), CacheBackend::Rope),
+        Depot::with_obs(obs.clone()),
     ));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = controller.serve_reactor(listener).expect("serve reactor");

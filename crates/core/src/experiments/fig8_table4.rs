@@ -6,20 +6,23 @@
 //! The amount of data received was 259.36 MB." Table 4 gives the
 //! response-time statistics per report-size bucket.
 //!
-//! The experiment replays a week-shaped stream against the real depot:
-//! report sizes drawn from the Table 4 distribution, branches drawn
-//! from the deployment's 1,060 instances (so the cache reaches its
-//! steady ≈1.5 MB), and every response timed for real.
+//! The experiment replays a week-shaped stream against the paper's
+//! depot ([`PaperDepot`]: envelope unpack, streaming splice, Table 4's
+//! statistics): report sizes drawn from the Table 4 distribution,
+//! branches drawn from the deployment's 1,060 instances (so the cache
+//! reaches its steady ≈1.5 MB), and every response timed for real.
 
 use inca_consumer::{render_histogram, render_table};
 use inca_report::{BranchId, Timestamp};
-use inca_server::{BucketStats, CacheBackend, Depot, DepotTiming};
+use inca_server::DepotTiming;
 use inca_sim::workload::{synthetic_report, SizeDistribution};
 use inca_wire::envelope::{Envelope, EnvelopeMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use super::paper_depot::PaperDepot;
 use crate::deployment::teragrid_deployment;
+use crate::stats::BucketStats;
 
 /// The experiment's outputs.
 #[derive(Debug, Clone)]
@@ -59,14 +62,14 @@ pub fn run(seed: u64, report_count: u64, mode: EnvelopeMode) -> DepotWeek {
 
 const WEEK_SECS: u64 = 7 * 86_400;
 
-/// The replay itself, on the paper's splice cache: `each` sees every
-/// receive's timing and the cache size it left behind.
+/// The replay itself: `each` sees every receive's timing and the
+/// cache size it left behind.
 fn replay(
     seed: u64,
     report_count: u64,
     mode: EnvelopeMode,
     mut each: impl FnMut(DepotTiming, usize),
-) -> Depot {
+) -> PaperDepot {
     let start = Timestamp::from_gmt(2004, 7, 7, 0, 0, 0);
     let deployment = teragrid_deployment(seed, start, start + WEEK_SECS);
     let branches: Vec<BranchId> = deployment
@@ -76,7 +79,7 @@ fn replay(
         .collect();
     let dist = SizeDistribution::teragrid();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut depot = Depot::with_backend(CacheBackend::Splice);
+    let mut depot = PaperDepot::new();
     for i in 0..report_count {
         // Spread arrivals evenly over the week (the paper's mean rate).
         let t = start + i * WEEK_SECS / report_count.max(1);
@@ -89,8 +92,7 @@ fn replay(
             size,
         );
         let envelope = Envelope::new(branch, report.to_xml());
-        let timing =
-            depot.receive(&envelope.encode(mode), t).expect("replayed envelope is valid");
+        let timing = depot.receive(&envelope.encode(mode)).expect("replayed envelope is valid");
         each(timing, depot.cache().size_bytes());
     }
     depot

@@ -10,12 +10,16 @@
 //! size of the cache, it takes almost 3 seconds to unpack the SOAP
 //! envelope and get the largest report ready for addition to the
 //! cache".
+//!
+//! The sweep drives the paper's own depot ([`PaperDepot`]: envelope
+//! unpack, then the streaming splice), not the production one.
 
 use inca_consumer::render_table;
 use inca_report::{BranchId, Timestamp};
-use inca_server::{CacheBackend, Depot};
 use inca_sim::workload::{synthetic_report, PREMADE_SIZES};
 use inca_wire::envelope::{Envelope, EnvelopeMode};
+
+use super::paper_depot::PaperDepot;
 
 /// The paper's cache sizes in bytes.
 pub const CACHE_SIZES: [usize; 6] =
@@ -36,10 +40,10 @@ pub struct Fig9Cell {
     pub total_us: f64,
 }
 
-/// Builds a depot on the paper's splice cache, at least `target_bytes`
-/// big, made of ~2 KB filler reports across distinct branches.
-fn depot_with_cache(seed_label: &str, target_bytes: usize, mode: EnvelopeMode) -> Depot {
-    let mut depot = Depot::with_backend(CacheBackend::Splice);
+/// Builds a paper depot at least `target_bytes` big, made of ~2 KB
+/// filler reports across distinct branches.
+fn depot_with_cache(seed_label: &str, target_bytes: usize, mode: EnvelopeMode) -> PaperDepot {
+    let mut depot = PaperDepot::new();
     let t = Timestamp::from_gmt(2004, 7, 8, 0, 0, 0);
     let mut i = 0usize;
     while depot.cache().size_bytes() < target_bytes {
@@ -52,10 +56,24 @@ fn depot_with_cache(seed_label: &str, target_bytes: usize, mode: EnvelopeMode) -
         .expect("filler branch is valid");
         let report = synthetic_report(&format!("filler{i}"), "filler.host", t, 2_048);
         let envelope = Envelope::new(branch, report.to_xml());
-        depot.receive(&envelope.encode(mode), t).expect("filler envelope valid");
+        depot.receive(&envelope.encode(mode)).expect("filler envelope valid");
         i += 1;
     }
     depot
+}
+
+/// The sweep's probe: a `report_bytes` report packed in `mode`, on
+/// one branch per report size so replays replace in place and the
+/// cache size stays steady, as in §5.2.2. Also returns the report's
+/// length.
+pub fn probe_envelope(report_bytes: usize, mode: EnvelopeMode) -> (Vec<u8>, usize) {
+    let branch: BranchId =
+        format!("reporter=probe{report_bytes},vo=fig9").parse().expect("probe branch is valid");
+    let t0 = Timestamp::from_gmt(2004, 7, 9, 0, 0, 0);
+    let xml = synthetic_report(&format!("probe{report_bytes}"), "inca.sdsc.edu", t0, report_bytes)
+        .to_xml();
+    let len = xml.len();
+    (Envelope::new(branch, xml).encode(mode), len)
 }
 
 /// Runs the sweep with `reps` replays per cell (mean reported).
@@ -71,27 +89,17 @@ pub fn run_with(
     report_sizes: &[usize],
 ) -> Vec<Fig9Cell> {
     let mut cells = Vec::with_capacity(cache_sizes.len() * report_sizes.len());
-    let t0 = Timestamp::from_gmt(2004, 7, 9, 0, 0, 0);
     for &cache_bytes in cache_sizes {
         let mut depot = depot_with_cache("fig9", cache_bytes, mode);
         for &report_bytes in report_sizes {
-            // One branch per report size so replays replace in place
-            // and the cache size stays steady, as in §5.2.2.
-            let branch: BranchId = format!("reporter=probe{report_bytes},vo=fig9")
-                .parse()
-                .expect("probe branch is valid");
-            let report =
-                synthetic_report(&format!("probe{report_bytes}"), "inca.sdsc.edu", t0, report_bytes);
-            let bytes = Envelope::new(branch, report.to_xml()).encode(mode);
+            let (bytes, _) = probe_envelope(report_bytes, mode);
             // Warm-up insert (creates the branch).
-            depot.receive(&bytes, t0).expect("probe envelope valid");
+            depot.receive(&bytes).expect("probe envelope valid");
             let mut unpack = 0.0;
             let mut insert = 0.0;
             let mut total = 0.0;
-            for r in 0..reps {
-                let timing = depot
-                    .receive(&bytes, t0 + 1 + r as u64)
-                    .expect("probe envelope valid");
+            for _ in 0..reps {
+                let timing = depot.receive(&bytes).expect("probe envelope valid");
                 unpack += timing.unpack.as_secs_f64();
                 insert += timing.insert.as_secs_f64();
                 total += timing.response().as_secs_f64();

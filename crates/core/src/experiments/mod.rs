@@ -12,6 +12,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8_table4;
 pub mod fig9;
+pub mod paper_depot;
 pub mod table1;
 pub mod table2;
 pub mod table3;

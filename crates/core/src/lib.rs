@@ -12,12 +12,17 @@
 //!   the depot, and periodic verification passes record availability,
 //! * [`live`] — the same components wired over real localhost TCP,
 //! * [`experiments`] — one module per paper table/figure producing the
-//!   data the bench binaries print (see DESIGN.md's experiment index).
+//!   data the bench binaries print (see DESIGN.md's experiment index),
+//!   and the paper's own depot they time (`experiments::paper_depot`),
+//! * [`stats`] — Table 4's response-time statistics per report-size
+//!   bucket and Figure 8's size histogram, kept by the paper depot.
 
 pub mod deployment;
 pub mod experiments;
+mod hist;
 pub mod live;
 pub mod sim_run;
+pub mod stats;
 
 pub use deployment::{teragrid_deployment, Deployment, ResourceAssignment};
 pub use sim_run::{SimOptions, SimOutcome, SimRun};

@@ -74,7 +74,7 @@ mod tests {
             assert!(daemon.stats().executed > 0);
             assert_eq!(daemon.stats().forward_errors, 0, "TCP submissions must be acked");
         }
-        let received = live.server.with_depot(|d| d.stats().report_count());
+        let received = live.server.with_depot(|d| d.report_count());
         let executed: u64 =
             live.daemons.iter().take(2).map(|d| d.stats().executed).sum();
         assert_eq!(received, executed);

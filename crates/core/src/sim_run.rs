@@ -153,9 +153,9 @@ pub struct SimOptions {
     /// Envelope packing mode (Binary = the zero-copy frame, the
     /// default; Body = 2004 behaviour).
     pub envelope_mode: EnvelopeMode,
-    /// Depot cache backend (Rope = the O(report) arena write path, the
-    /// default; Splice = the paper's contiguous-string oracle). Both
-    /// produce byte-identical documents for the same ingested reports.
+    /// Selects nothing: the depot has one cache, the rope. Kept only
+    /// because the gated pipeline benchmark sets it; see
+    /// [`CacheBackend`].
     pub cache_backend: CacheBackend,
     /// Verification cadence in seconds (paper: every ten minutes), or
     /// `None` to skip periodic verification.
@@ -296,7 +296,7 @@ impl SimRun {
         let obs = options.obs.clone().unwrap_or_else(Obs::global);
         let server = Arc::new(CentralizedController::new(
             config,
-            Depot::with_obs_backend(obs.clone(), options.cache_backend),
+            Depot::with_obs(obs.clone()),
         ));
         // Upload the bandwidth archival policy (§3.2.2's one-time
         // configuration).
@@ -826,7 +826,7 @@ mod tests {
         )
         .run();
         // Every hourly instance fires twice: ~2120 submissions.
-        let total_reports = outcome.server.with_depot(|d| d.stats().report_count());
+        let total_reports = outcome.server.with_depot(|d| d.report_count());
         assert!(
             (1_900..2_300).contains(&total_reports),
             "expected ~2120 reports, got {total_reports}"

@@ -3,15 +3,16 @@
 //! Table 4 reports depot response-time statistics per report-size
 //! bucket (mean/std/min/max/median and update counts) over a one-week
 //! observation; Figure 8 is the histogram of received report sizes.
-//! [`ResponseStats`] collects both from the live depot.
+//! [`ResponseStats`] collects both from the paper's depot
+//! ([`PaperDepot`](crate::experiments::paper_depot::PaperDepot)); the
+//! production depot keeps no such accounting.
 //!
 //! The bucketing and summary math (population standard deviation,
-//! midpoint median) live in [`inca_obs::hist::SampleHistogram`] — this
-//! module defines the paper's bucket bounds and adapts the shared
-//! histogram's summaries into Table 4 rows, so Table 4 and Figure 8
-//! come from one source of truth.
+//! midpoint median) live in the crate's `SampleHistogram` — this module defines
+//! the paper's bucket bounds and adapts its summaries into Table 4
+//! rows, so Table 4 and Figure 8 come from one source of truth.
 
-use inca_obs::hist::SampleHistogram;
+use crate::hist::SampleHistogram;
 
 /// Table 4's report-size buckets in bytes: 0–4 KB … 40–50 KB.
 pub const SIZE_BUCKETS: [(usize, usize); 6] = [

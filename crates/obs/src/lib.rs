@@ -19,10 +19,6 @@
 //! - **Exposition lint** ([`lint`]): a pure-Rust, promtool-style
 //!   conformance checker over rendered exposition text, used by the
 //!   format tests and `scripts/verify.sh`.
-//! - **Sample histograms** ([`hist`]): a bucket-keyed,
-//!   sample-retaining [`SampleHistogram`] used where exact
-//!   mean/std-dev/median summaries are needed (the paper's Table 4
-//!   response statistics are built on it).
 //! - **Durable trace store** ([`store`]): a segmented, size-rotated
 //!   JSONL [`TraceStore`] sink with an in-memory index rebuilt from
 //!   segment footers on open, so trace forensics (`by_trace`,
@@ -67,12 +63,10 @@
 //! [`Counter`]: metrics::Counter
 //! [`Gauge`]: metrics::Gauge
 //! [`Histogram`]: metrics::Histogram
-//! [`SampleHistogram`]: hist::SampleHistogram
 //! [`TraceStore`]: store::TraceStore
 
 #![deny(missing_docs)]
 
-pub mod hist;
 pub mod lint;
 pub mod metrics;
 pub mod sinks;

@@ -533,7 +533,7 @@ pub(crate) mod tests {
             sequential.with_depot(|d| d.cache().document().to_string()),
             "batched admission must build the same cache as sequential"
         );
-        assert_eq!(batched.with_depot(|d| d.stats().report_count()), 3);
+        assert_eq!(batched.with_depot(|d| d.report_count()), 3);
     }
 
     fn stamped(resource: &str, seq: u64) -> Vec<u8> {
@@ -568,7 +568,7 @@ pub(crate) mod tests {
         let (second, timing) = controller.submit("h", &payload, now);
         assert_eq!(second, ServerResponse::Ack);
         assert!(timing.is_none(), "no depot pass for a duplicate");
-        assert_eq!(controller.with_depot(|d| d.stats().report_count()), 1);
+        assert_eq!(controller.with_depot(|d| d.report_count()), 1);
         assert_eq!(controller.duplicate_count(), 1);
         assert_eq!(
             controller.obs().metrics().counter_value("inca_depot_duplicates_total", &[]),
@@ -577,7 +577,7 @@ pub(crate) mod tests {
         // A later seq from the same daemon still lands.
         let (third, _) = controller.submit("h", &stamped("h", 2), now);
         assert_eq!(third, ServerResponse::Ack);
-        assert_eq!(controller.with_depot(|d| d.stats().report_count()), 2);
+        assert_eq!(controller.with_depot(|d| d.report_count()), 2);
     }
 
     #[test]
@@ -592,7 +592,7 @@ pub(crate) mod tests {
         let results = controller.submit_batch(&submissions, Timestamp::from_secs(1_000));
         assert!(results.iter().all(|(r, _)| *r == ServerResponse::Ack));
         assert!(results[2].1.is_none(), "duplicate carries no timing");
-        assert_eq!(controller.with_depot(|d| d.stats().report_count()), 2);
+        assert_eq!(controller.with_depot(|d| d.report_count()), 2);
         assert_eq!(controller.duplicate_count(), 1);
     }
 
@@ -624,7 +624,7 @@ pub(crate) mod tests {
             let results = controller.submit_batch(&submissions, now);
             assert!(results.iter().all(|(r, _)| *r == ServerResponse::Ack));
             assert!(results[2].1.is_none(), "duplicate carries no timing");
-            assert_eq!(controller.with_depot(|d| d.stats().report_count()), 3);
+            assert_eq!(controller.with_depot(|d| d.report_count()), 3);
             assert_eq!(controller.duplicate_count(), 1);
             // A cross-batch retransmission is absorbed too.
             let (resp, timing) = controller.submit("a", &stamped("a", 1), now);
@@ -792,7 +792,7 @@ pub(crate) mod tests {
         controller.submit("h", &payload, now);
         // No origin → no dedup: both ingests count (at-most-once as
         // before the spool existed).
-        assert_eq!(controller.with_depot(|d| d.stats().report_count()), 2);
+        assert_eq!(controller.with_depot(|d| d.report_count()), 2);
         assert_eq!(controller.duplicate_count(), 0);
     }
 }

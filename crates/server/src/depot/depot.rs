@@ -5,9 +5,11 @@
 //! envelope" and breaks it into "(1) receiving the report and unpacking
 //! the SOAP envelope … and (2) processing the cache to find the
 //! appropriate location for the report". [`Depot::receive_batch`]
-//! reproduces exactly that decomposition for every envelope and returns
-//! both components in [`DepotTiming`] — the data behind Table 4 and
-//! Figure 9. [`Depot::receive`] is a batch of one.
+//! returns that decomposition for every envelope in [`DepotTiming`].
+//! [`Depot::receive`] is a batch of one. The cache is a [`RopeCache`];
+//! the paper's own depot, the streaming splice that Table 4 and
+//! Figure 9 measure, lives with those exhibits (`inca-core`'s
+//! `experiments::paper_depot`).
 
 use std::borrow::Cow;
 use std::fmt;
@@ -19,15 +21,12 @@ use inca_obs::trace::Span;
 use inca_obs::{Obs, Severity, TraceContext};
 use inca_report::{BranchId, Report, Timestamp};
 use inca_wire::envelope::EnvelopeView;
-#[cfg(test)]
-use inca_wire::envelope::Envelope;
 use inca_wire::message::WireError;
 
 use crate::depot::archive::{ArchiveRule, ArchiveStore};
-use crate::depot::cache::{branch_of, CacheError, XmlCache};
+use crate::depot::cache::{branch_of, CacheError};
 use crate::depot::memo::ParsedMemo;
 use crate::depot::rope::RopeCache;
-use crate::stats::ResponseStats;
 
 /// Parsed reports with their branches, in cache order.
 type ParsedReports = Vec<(BranchId, Arc<Report>)>;
@@ -70,10 +69,11 @@ pub struct DepotTiming {
     /// Unpacking the envelope (grows with report size — Figure 9's
     /// gap between the two lines).
     pub unpack: Duration,
-    /// Locating and splicing into the cache (grows with cache size —
-    /// Figure 9's lower line).
+    /// Storing the report in the cache: O(report) on the rope; on the
+    /// paper's splice it grows with cache size (Figure 9's lower line).
     pub insert: Duration,
-    /// Feeding matching archive rules.
+    /// Feeding matching archive rules (zero on the paper's depot,
+    /// which has no archive).
     pub archive: Duration,
     /// Size of the unpacked report in bytes.
     pub report_size: usize,
@@ -87,113 +87,47 @@ impl DepotTiming {
     }
 }
 
-/// Which cache representation a depot runs on.
-///
-/// The rope is the production cache (O(report) writes, see
-/// [`RopeCache`]); the splice cache is the paper's measured design,
-/// asked for by name by the paper's experiments and by the tests that
-/// use it as the byte-identity oracle. Both produce the same canonical
-/// document, so a depot can be persisted under one backend and
-/// restored under the other.
+/// The cache a depot runs on. There is one, [`RopeCache`], so this
+/// selects nothing: it survives only because the gated pipeline
+/// benchmark (`benchmark/src/{sim,tcp,probes}.rs`) names its `Rope`
+/// variant, and goes with that benchmark's next re-baselining
+/// (ROADMAP item 1(a)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CacheBackend {
-    /// Contiguous-string splice cache ([`XmlCache`], §5.2.2 semantics).
-    Splice,
-    /// Arena-backed rope with lazy materialization ([`RopeCache`]).
+    /// Arena-backed rope ([`RopeCache`]).
     #[default]
     Rope,
 }
 
-/// One of the two cache representations.
-#[derive(Debug)]
-enum Backend {
-    Splice(XmlCache),
-    Rope(RopeCache),
-}
-
-/// The depot's cache storage: a backend, and the parsed form of the
-/// reports it holds. `insert_batch` is the only way to change the
-/// backend, which is what lets it keep `parsed` honest.
+/// The depot's cache storage: the rope, and the parsed form of the
+/// reports it holds. `insert_batch` is the only way to change which
+/// reports the rope holds (compaction moves bytes, not reports), which
+/// is what lets it keep `parsed` honest.
 #[derive(Debug)]
 struct CacheStore {
-    backend: Backend,
+    rope: RopeCache,
     /// What set reads ([`CacheStore::parsed_reports`]) have parsed, so
     /// a verification pass or a status page parses only the reports
     /// replaced since the last one. Retention: an entry is made by the
     /// first set read that reaches a branch and lives until the next
-    /// write to that branch, whichever backend holds it; compaction
-    /// moves bytes, not reports, and never touches it. The cache never
-    /// drops a branch, so the memo holds at most
-    /// [`CacheStore::report_count`] reports, and none at all on a
+    /// write to that branch; compaction moves bytes, not reports, and
+    /// never touches it. The cache never drops a branch, so the memo
+    /// holds at most as many reports as the rope, and none at all on a
     /// depot that serves only point reads and documents
     /// (`report`/`current`/`current_all`).
     parsed: ParsedMemo,
 }
 
 impl CacheStore {
-    fn new(backend: Backend) -> CacheStore {
-        CacheStore { backend, parsed: ParsedMemo::default() }
+    fn new(rope: RopeCache) -> CacheStore {
+        CacheStore { rope, parsed: ParsedMemo::default() }
     }
 
     fn insert_batch(&mut self, items: &[(&BranchId, &str)]) -> Result<(), CacheError> {
         for (branch, _) in items {
             self.parsed.forget(branch);
         }
-        match &mut self.backend {
-            Backend::Splice(c) => c.insert_batch(items),
-            Backend::Rope(c) => c.insert_batch(items),
-        }
-    }
-
-    fn generation(&self) -> u64 {
-        match &self.backend {
-            Backend::Splice(c) => c.generation(),
-            Backend::Rope(c) => c.generation(),
-        }
-    }
-
-    fn size_bytes(&self) -> usize {
-        match &self.backend {
-            Backend::Splice(c) => c.size_bytes(),
-            Backend::Rope(c) => c.size_bytes(),
-        }
-    }
-
-    fn arena_bytes(&self) -> usize {
-        match &self.backend {
-            // The splice cache *is* its document: no arena, no garbage.
-            Backend::Splice(c) => c.size_bytes(),
-            Backend::Rope(c) => c.arena_bytes(),
-        }
-    }
-
-    fn maybe_compact(&mut self) -> bool {
-        match &mut self.backend {
-            // The splice cache carries no garbage to reclaim.
-            Backend::Splice(_) => false,
-            Backend::Rope(c) => c.maybe_compact(),
-        }
-    }
-
-    fn report_count(&self) -> usize {
-        match &self.backend {
-            Backend::Splice(c) => c.report_count(),
-            Backend::Rope(c) => c.report_count(),
-        }
-    }
-
-    fn subtree(&self, query: &BranchId) -> Result<Option<String>, CacheError> {
-        match &self.backend {
-            Backend::Splice(c) => c.subtree(query),
-            Backend::Rope(c) => c.subtree(query),
-        }
-    }
-
-    fn reports(&self, query: Option<&BranchId>) -> Result<Vec<(BranchId, String)>, CacheError> {
-        match &self.backend {
-            Backend::Splice(c) => c.reports(query),
-            Backend::Rope(c) => c.reports(query),
-        }
+        self.rope.insert_batch(items)
     }
 
     /// Every report matching `query` (all when `None`), parsed, in
@@ -209,7 +143,7 @@ impl CacheStore {
         let mut out = Vec::new();
         let mut all_shared = true;
         let mut key = String::new();
-        let mut visit = |path: &[(&str, &str)], xml: &str| {
+        self.rope.visit_reports(query, &mut |path: &[(&str, &str)], xml: &str| {
             ParsedMemo::write_key(&mut key, path.iter().copied());
             let report = match self.parsed.get(&key) {
                 Some(report) => report,
@@ -230,49 +164,30 @@ impl CacheStore {
             };
             out.push((branch_of(path)?, report));
             Ok(())
-        };
-        match &self.backend {
-            Backend::Splice(c) => c.visit_reports(query, &mut visit)?,
-            Backend::Rope(c) => c.visit_reports(query, &mut visit)?,
-        }
+        })?;
         Ok((out, all_shared))
-    }
-
-    fn report_exact(&self, branch: &BranchId) -> Option<&str> {
-        match &self.backend {
-            Backend::Splice(c) => c.report_exact(branch),
-            Backend::Rope(c) => c.report_exact(branch),
-        }
-    }
-
-    fn document(&self) -> Cow<'_, str> {
-        match &self.backend {
-            Backend::Splice(c) => Cow::Borrowed(c.document()),
-            Backend::Rope(c) => Cow::Owned(c.document()),
-        }
     }
 }
 
-/// Backend-agnostic read view of a depot's cache.
+/// Read view of a depot's cache.
 ///
-/// What [`Depot::cache`] hands to the querying interface: the common
-/// read surface of both backends. `document()` borrows from the splice
-/// cache and renders a fresh copy from the [`RopeCache`]'s spans.
+/// What [`Depot::cache`] hands to the querying interface.
+/// `document()` renders a fresh copy from the [`RopeCache`]'s spans.
 #[derive(Debug, Clone, Copy)]
-pub struct CacheRef<'a>(&'a CacheStore);
+pub struct CacheRef<'a>(&'a RopeCache);
 
 impl<'a> CacheRef<'a> {
     /// The full cache document.
     pub fn document(&self) -> Cow<'a, str> {
-        self.0.document()
+        Cow::Owned(self.0.document())
     }
 
-    /// Document size in bytes (O(1) on both backends).
+    /// Document size in bytes (O(1)).
     pub fn size_bytes(&self) -> usize {
         self.0.size_bytes()
     }
 
-    /// Number of cached reports (O(1) on both backends).
+    /// Number of cached reports (O(1)).
     pub fn report_count(&self) -> usize {
         self.0.report_count()
     }
@@ -286,12 +201,13 @@ impl<'a> CacheRef<'a> {
     }
 }
 
-/// The depot: cache, archive, statistics, and their instrumentation.
+/// The depot: cache, archive, and their instrumentation.
 #[derive(Debug)]
 pub struct Depot {
     cache: CacheStore,
     archive: ArchiveStore,
-    stats: ResponseStats,
+    /// Reports accepted since construction (or restore).
+    reports_received: u64,
     obs: Obs,
     /// Envelope-unpack latency (`inca_depot_unpack_seconds`).
     unpack_hist: Arc<Histogram>,
@@ -303,8 +219,7 @@ pub struct Depot {
     /// Cached report count (`inca_depot_cache_reports`).
     cache_reports: Arc<Gauge>,
     /// Backing-store bytes including rope garbage
-    /// (`inca_depot_arena_bytes`); equals `inca_depot_cache_bytes` on
-    /// the splice backend.
+    /// (`inca_depot_arena_bytes`).
     arena_bytes: Arc<Gauge>,
     /// Rope-arena compactions run (`inca_depot_compactions_total`).
     compactions: Arc<Counter>,
@@ -322,21 +237,14 @@ impl Depot {
         Depot::with_obs(Obs::global())
     }
 
-    /// An empty depot on the given cache backend, observing into
-    /// [`Obs::global`].
-    pub fn with_backend(backend: CacheBackend) -> Depot {
-        Depot::with_obs_backend(Obs::global(), backend)
+    /// [`Depot::with_obs`]; the [`CacheBackend`] selects nothing.
+    pub fn with_obs_backend(obs: Obs, _backend: CacheBackend) -> Depot {
+        Depot::with_obs(obs)
     }
 
     /// An empty depot whose spans and metrics go to `obs` (isolated
     /// registries for tests, embedded setups with their own handle).
     pub fn with_obs(obs: Obs) -> Depot {
-        Depot::with_obs_backend(obs, CacheBackend::default())
-    }
-
-    /// An empty depot with an explicit observability handle and cache
-    /// backend.
-    pub fn with_obs_backend(obs: Obs, backend: CacheBackend) -> Depot {
         let unpack_hist = obs.metrics().histogram(
             "inca_depot_unpack_seconds",
             "Time unpacking one received envelope.",
@@ -370,12 +278,9 @@ impl Depot {
             &DEFAULT_LATENCY_BOUNDS,
         );
         Depot {
-            cache: CacheStore::new(match backend {
-                CacheBackend::Splice => Backend::Splice(XmlCache::new()),
-                CacheBackend::Rope => Backend::Rope(RopeCache::new()),
-            }),
+            cache: CacheStore::new(RopeCache::new()),
             archive: ArchiveStore::with_obs(&obs),
-            stats: ResponseStats::new(),
+            reports_received: 0,
             obs,
             unpack_hist,
             insert_hist,
@@ -485,10 +390,11 @@ impl Depot {
             return results.into_iter().map(|r| r.expect("every envelope resolved")).collect();
         }
         let accepted_count = accepted.len();
+        self.reports_received += accepted_count as u64;
         let amortized = insert_total
             .checked_div(accepted_count.max(1) as u32)
             .unwrap_or(Duration::ZERO);
-        // Per-report archival and accounting, as the sequential path.
+        // Per-report archival and instrumentation.
         for pending in accepted {
             let Pending { index, envelope, unpack, span, archive_ctx, trace_id } = pending;
             let t2 = Instant::now();
@@ -514,8 +420,6 @@ impl Depot {
                 archive: t2.elapsed(),
                 report_size: envelope.report_xml.len(),
             };
-            self.stats
-                .record(timing.report_size, timing.response().as_secs_f64());
             self.unpack_hist.observe_duration_with_exemplar(timing.unpack, trace_id);
             self.insert_hist.observe_duration_with_exemplar(timing.insert, trace_id);
             span.field("size", timing.report_size).finish();
@@ -523,32 +427,42 @@ impl Depot {
         }
         self.batch_size_hist.observe(accepted_count as f64);
         self.batch_insert_hist.observe_duration(insert_total);
-        if self.cache.maybe_compact() {
+        if self.cache.rope.maybe_compact() {
             self.compactions.inc();
         }
-        self.cache_bytes.set(self.cache.size_bytes() as f64);
-        self.cache_reports.set(self.cache.report_count() as f64);
-        self.arena_bytes.set(self.cache.arena_bytes() as f64);
+        self.set_cache_gauges();
         batch_span
             .field("accepted", accepted_count)
-            .field("cache_bytes", self.cache.size_bytes())
+            .field("cache_bytes", self.cache.rope.size_bytes())
             .finish();
         results.into_iter().map(|r| r.expect("every envelope resolved")).collect()
     }
 
-    /// The cache (read access for the querying interface), as a
-    /// backend-agnostic view.
-    pub fn cache(&self) -> CacheRef<'_> {
-        CacheRef(&self.cache)
+    fn set_cache_gauges(&self) {
+        self.cache_bytes.set(self.cache.rope.size_bytes() as f64);
+        self.cache_reports.set(self.cache.rope.report_count() as f64);
+        self.arena_bytes.set(self.cache.rope.arena_bytes() as f64);
     }
 
-    /// [`XmlCache::subtree`]: the sub-document at `query`, copied out
+    /// Reports accepted since this depot was created or restored,
+    /// replacements and duplicates included (the cache holds one per
+    /// branch: [`CacheRef::report_count`]).
+    pub fn report_count(&self) -> u64 {
+        self.reports_received
+    }
+
+    /// The cache (read access for the querying interface).
+    pub fn cache(&self) -> CacheRef<'_> {
+        CacheRef(&self.cache.rope)
+    }
+
+    /// [`RopeCache::subtree`]: the sub-document at `query`, copied out
     /// of the cache.
     pub(crate) fn query_subtree(&self, query: &BranchId) -> Result<Option<String>, CacheError> {
-        self.cache.subtree(query)
+        self.cache.rope.subtree(query)
     }
 
-    /// [`XmlCache::reports`]: every raw report matching `query` (all
+    /// [`RopeCache::reports`]: every raw report matching `query` (all
     /// when `None`), copied out of the cache in document order.
     ///
     /// The flag is always `false`: nothing answers this read but the
@@ -559,7 +473,7 @@ impl Depot {
         &self,
         query: Option<&BranchId>,
     ) -> Result<(Vec<(BranchId, String)>, bool), CacheError> {
-        Ok((self.cache.reports(query)?, false))
+        Ok((self.cache.rope.reports(query)?, false))
     }
 
     /// Every cached report matching `query` (all when `None`), parsed
@@ -573,10 +487,10 @@ impl Depot {
         self.cache.parsed_reports(query)
     }
 
-    /// The report stored exactly at `branch`, borrowed from the cache
-    /// (an arena slice on the rope, a document slice on the splice).
+    /// The report stored exactly at `branch`, borrowed from the
+    /// rope's arena.
     pub(crate) fn report_exact(&self, branch: &BranchId) -> Option<&str> {
-        self.cache.report_exact(branch)
+        self.cache.rope.report_exact(branch)
     }
 
     /// The report stored exactly at `branch`, copied out of the cache.
@@ -596,55 +510,28 @@ impl Depot {
         &mut self.archive
     }
 
-    /// Accumulated response statistics.
-    pub fn stats(&self) -> &ResponseStats {
-        &self.stats
-    }
-
     /// Persists cache and archives to a directory (`cache.xml` +
     /// `archives.txt`) — the paper's Persistent Data Storage
-    /// requirement. Response statistics are runtime-only and not
+    /// requirement. The received-report count is runtime-only and not
     /// persisted.
     pub fn save_to(&self, dir: &std::path::Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join("cache.xml"), self.cache.document().as_bytes())?;
+        std::fs::write(dir.join("cache.xml"), self.cache.rope.document().as_bytes())?;
         std::fs::write(dir.join("archives.txt"), self.archive.dump())?;
         Ok(())
     }
 
-    /// Restores a depot persisted with [`Depot::save_to`], on the
-    /// default backend.
+    /// Restores a depot persisted with [`Depot::save_to`].
     pub fn load_from(dir: &std::path::Path) -> std::io::Result<Depot> {
-        Depot::load_from_backend(dir, CacheBackend::default())
-    }
-
-    /// Restores a depot persisted with [`Depot::save_to`] onto an
-    /// explicit cache backend. Both backends produce the same canonical
-    /// document, so persisted state moves freely between them.
-    pub fn load_from_backend(
-        dir: &std::path::Path,
-        backend: CacheBackend,
-    ) -> std::io::Result<Depot> {
+        let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
         let cache_doc = std::fs::read_to_string(dir.join("cache.xml"))?;
         let archive_text = std::fs::read_to_string(dir.join("archives.txt"))?;
-        let invalid =
-            |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-        let cache = CacheStore::new(match backend {
-            CacheBackend::Splice => Backend::Splice(
-                XmlCache::from_document(cache_doc).map_err(|e| invalid(e.to_string()))?,
-            ),
-            CacheBackend::Rope => Backend::Rope(
-                RopeCache::from_document(cache_doc).map_err(|e| invalid(e.to_string()))?,
-            ),
-        });
-        let archive = ArchiveStore::restore(&archive_text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        let rope = RopeCache::from_document(cache_doc).map_err(|e| invalid(e.to_string()))?;
+        let archive = ArchiveStore::restore(&archive_text).map_err(invalid)?;
         let mut depot = Depot::new();
-        depot.cache_bytes.set(cache.size_bytes() as f64);
-        depot.cache_reports.set(cache.report_count() as f64);
-        depot.arena_bytes.set(cache.arena_bytes() as f64);
-        depot.cache = cache;
+        depot.cache = CacheStore::new(rope);
         depot.archive = archive;
+        depot.set_cache_gauges();
         Ok(depot)
     }
 }
@@ -658,9 +545,10 @@ impl Default for Depot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::depot::cache::XmlCache;
     use inca_report::{BranchId, ReportBuilder};
     use inca_rrd::{ArchivePolicy, ConsolidationFn};
-    use inca_wire::envelope::EnvelopeMode;
+    use inca_wire::envelope::{Envelope, EnvelopeMode};
 
     fn envelope_bytes(branch: &str, value: &str, mode: EnvelopeMode) -> Vec<u8> {
         let report = ReportBuilder::new("r", "1.0")
@@ -681,7 +569,7 @@ mod tests {
         assert_eq!(depot.cache().report_count(), 1);
         assert!(timing.report_size > 0);
         assert!(timing.response() >= timing.insert);
-        assert_eq!(depot.stats().report_count(), 1);
+        assert_eq!(depot.report_count(), 1);
     }
 
     #[test]
@@ -717,7 +605,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(depot.cache().report_count(), 1);
-        assert_eq!(depot.stats().report_count(), 10);
+        assert_eq!(depot.report_count(), 10);
     }
 
     #[test]
@@ -755,7 +643,7 @@ mod tests {
     fn ingest_triggered_compaction_resets_arena_gauge() {
         use crate::depot::rope::COMPACT_MIN_ARENA_BYTES;
         let obs = Obs::new();
-        let mut depot = Depot::with_obs_backend(obs.clone(), CacheBackend::Rope);
+        let mut depot = Depot::with_obs(obs.clone());
         let t = Timestamp::from_secs(1_000);
         // Replace one branch with a big report, then repeatedly with
         // small ones: the big corpse dominates the arena until the
@@ -776,10 +664,49 @@ mod tests {
         );
         // Byte-identity: the document equals a fresh splice build of
         // the same content.
-        let doc = depot.cache().document().to_string();
-        let mut oracle = Depot::with_obs_backend(Obs::new(), CacheBackend::Splice);
-        oracle.receive(&envelope_bytes(branch, "small", EnvelopeMode::Body), t).unwrap();
-        assert_eq!(doc, oracle.cache().document().to_string());
+        let small = Envelope::decode(&envelope_bytes(branch, "small", EnvelopeMode::Body)).unwrap();
+        let mut oracle = XmlCache::new();
+        oracle.update(&small.address, &small.report_xml).unwrap();
+        assert_eq!(depot.cache().document(), oracle.document());
+    }
+
+    /// The rope depot against the paper's streaming splice: replaying
+    /// into a bare [`XmlCache`] exactly the envelopes `receive_batch`
+    /// accepted gives the same document after every batch — new
+    /// branches, replacements, a branch written twice in one batch, and
+    /// rejected envelopes that must leave no trace.
+    #[test]
+    fn receive_batch_matches_an_xml_cache_replay_of_what_it_accepted() {
+        let t = Timestamp::from_secs(1_000);
+        let modes = [EnvelopeMode::Body, EnvelopeMode::Attachment, EnvelopeMode::Binary];
+        let mut depot = Depot::with_obs(Obs::new());
+        let mut oracle = XmlCache::new();
+        for round in 0..6usize {
+            let mut batch: Vec<Vec<u8>> = (0..9)
+                .map(|i| {
+                    envelope_bytes(
+                        &format!("reporter=r{},resource=m{},site=s{},vo=tg", i % 5, i % 5 % 3, round % 2),
+                        &format!("{round}.{i}"),
+                        modes[(round + i) % 3],
+                    )
+                })
+                .collect();
+            batch.insert(3, b"garbage".to_vec());
+            let mut truncated = batch[5].clone();
+            truncated.truncate(truncated.len() / 2);
+            batch.push(truncated);
+            let results = depot.receive_batch(&batch, t);
+            assert_eq!(results.iter().filter(|r| r.is_err()).count(), 2, "round {round}");
+            for (bytes, result) in batch.iter().zip(&results) {
+                if result.is_ok() {
+                    let envelope = Envelope::decode(bytes).unwrap();
+                    oracle.update(&envelope.address, &envelope.report_xml).unwrap();
+                }
+            }
+            assert_eq!(depot.cache().document(), oracle.document(), "round {round}");
+            assert_eq!(depot.cache().report_count(), oracle.report_count());
+        }
+        assert_eq!(depot.report_count(), 6 * 9);
     }
 
     #[test]
@@ -806,7 +733,7 @@ mod tests {
             sequential.receive(env, t).unwrap();
         }
         assert_eq!(batched.cache().document(), sequential.cache().document());
-        assert_eq!(batched.stats().report_count(), 25);
+        assert_eq!(batched.report_count(), 25);
     }
 
     #[test]
@@ -823,7 +750,7 @@ mod tests {
         assert!(matches!(results[1], Err(DepotError::Envelope(_))));
         assert!(results[2].is_ok());
         assert_eq!(depot.cache().report_count(), 2);
-        assert_eq!(depot.stats().report_count(), 2, "rejected envelopes are not counted");
+        assert_eq!(depot.report_count(), 2, "rejected envelopes are not counted");
     }
 
     #[test]
@@ -874,36 +801,34 @@ mod tests {
     #[test]
     fn parsed_memo_is_bounded_by_the_cached_report_count() {
         use crate::query::QueryInterface;
-        for backend in [CacheBackend::Splice, CacheBackend::Rope] {
-            let mut depot = Depot::with_obs_backend(Obs::new(), backend);
-            let t = Timestamp::from_secs(1_000);
-            let site: BranchId = "site=s0,vo=tg".parse().unwrap();
-            // Ten rounds of replacing every report of a fixed branch
-            // set, singly and batched, with set reads in between.
-            for round in 0..10 {
-                let envelopes: Vec<Vec<u8>> = (0..12)
-                    .map(|i| {
-                        envelope_bytes(
-                            &format!("reporter=r{i},site=s{},vo=tg", i % 3),
-                            &format!("{round}.{i}"),
-                            EnvelopeMode::Binary,
-                        )
-                    })
-                    .collect();
-                let (single, batch) = envelopes.split_at(4);
-                for envelope in single {
-                    depot.receive(envelope, t).unwrap();
-                }
-                for result in depot.receive_batch(batch, t) {
-                    result.unwrap();
-                }
-                assert_eq!(depot.cache.report_count(), 12);
-                let q = QueryInterface::new(&depot);
-                assert_eq!(q.reports(Some(&site)).unwrap().len(), 4);
-                assert!(depot.cache.parsed.len() <= 4, "{backend:?}: only what was read");
-                assert_eq!(q.reports(None).unwrap().len(), 12);
-                assert_eq!(depot.cache.parsed.len(), 12, "{backend:?}: one per cached branch");
+        let mut depot = Depot::with_obs(Obs::new());
+        let t = Timestamp::from_secs(1_000);
+        let site: BranchId = "site=s0,vo=tg".parse().unwrap();
+        // Ten rounds of replacing every report of a fixed branch set,
+        // singly and batched, with set reads in between.
+        for round in 0..10 {
+            let envelopes: Vec<Vec<u8>> = (0..12)
+                .map(|i| {
+                    envelope_bytes(
+                        &format!("reporter=r{i},site=s{},vo=tg", i % 3),
+                        &format!("{round}.{i}"),
+                        EnvelopeMode::Binary,
+                    )
+                })
+                .collect();
+            let (single, batch) = envelopes.split_at(4);
+            for envelope in single {
+                depot.receive(envelope, t).unwrap();
             }
+            for result in depot.receive_batch(batch, t) {
+                result.unwrap();
+            }
+            assert_eq!(depot.cache().report_count(), 12);
+            let q = QueryInterface::new(&depot);
+            assert_eq!(q.reports(Some(&site)).unwrap().len(), 4);
+            assert!(depot.cache.parsed.len() <= 4, "only what was read");
+            assert_eq!(q.reports(None).unwrap().len(), 12);
+            assert_eq!(depot.cache.parsed.len(), 12, "one per cached branch");
         }
     }
 
@@ -913,7 +838,7 @@ mod tests {
         // What the TCP workloads read: `report`, `current`,
         // `current_all`. None of them is a set read, so the memo stays
         // empty and the write path keeps paying one emptiness check.
-        let mut depot = Depot::with_obs_backend(Obs::new(), CacheBackend::Rope);
+        let mut depot = Depot::with_obs(Obs::new());
         let t = Timestamp::from_secs(1_000);
         let branch: BranchId = "reporter=r,resource=m,vo=tg".parse().unwrap();
         for round in 0..3 {
@@ -1008,51 +933,5 @@ mod tests {
         std::fs::write(dir.join("archives.txt"), "garbage").unwrap();
         assert!(Depot::load_from(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    // Slow (multi-megabyte cache rebuilds): excluded from the default
-    // `cargo test -q` run, where `tests/paper_check.rs` holds Figure 9's
-    // scaling on a reduced sweep. scripts/verify.sh opts back in via
-    // `cargo test -p inca-server --lib -- --ignored`.
-    #[ignore = "slow Figure 9 scaling check; run with --ignored (scripts/verify.sh does)"]
-    fn insert_time_grows_with_cache_size() {
-        // The Figure 9 mechanism, asserted coarsely: inserting into a
-        // multi-megabyte cache takes longer than into a near-empty one.
-        let mut depot = Depot::with_backend(CacheBackend::Splice);
-        let t = Timestamp::from_secs(1_000);
-        // Grow the cache with many distinct ~20 KB reports.
-        let filler = "x".repeat(20_000);
-        for i in 0..150 {
-            let report = ReportBuilder::new("r", "1.0")
-                .gmt(t)
-                .body_value("v", filler.as_str())
-                .success()
-                .unwrap();
-            let env = Envelope::new(
-                format!("reporter=r{i},vo=tg").parse::<BranchId>().unwrap(),
-                report.to_xml(),
-            );
-            depot.receive(&env.encode(EnvelopeMode::Body), t).unwrap();
-        }
-        assert!(depot.cache().size_bytes() > 2_000_000);
-        // Time many small inserts into the big cache vs a fresh one.
-        let small = envelope_bytes("reporter=probe,vo=tg", "1", EnvelopeMode::Body);
-        let reps = 30;
-        let start = Instant::now();
-        for _ in 0..reps {
-            depot.receive(&small, t).unwrap();
-        }
-        let big_elapsed = start.elapsed();
-        let mut fresh = Depot::with_backend(CacheBackend::Splice);
-        let start = Instant::now();
-        for _ in 0..reps {
-            fresh.receive(&small, t).unwrap();
-        }
-        let fresh_elapsed = start.elapsed();
-        assert!(
-            big_elapsed > fresh_elapsed * 3,
-            "expected big-cache inserts to dominate: {big_elapsed:?} vs {fresh_elapsed:?}"
-        );
     }
 }

@@ -3,10 +3,11 @@
 //! [`super::cache::XmlCache`] deliberately reproduces §5.2.2: the cache
 //! is one contiguous XML string, so every insert and every query
 //! streams bytes proportional to the whole cache (Figure 9's growth
-//! curve). This module is the cache a depot runs on by default:
-//! O(report) writes and O(result) reads. The splice implementation
-//! stays beside it as the paper's design and the byte-identity oracle;
-//! [`super::depot::CacheBackend`] names the two.
+//! curve). This module is the cache a depot runs on: O(report) writes
+//! and O(result) reads. The splice implementation stays beside it as
+//! the paper's design (which the paper's exhibits time), this cache's
+//! byte-identity oracle, and the validator of
+//! [`RopeCache::from_document`].
 //!
 //! ## Representation
 //!

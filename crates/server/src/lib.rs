@@ -14,13 +14,13 @@
 //!   no IO (framing, the pass budget, backpressure, the idle sweep)
 //!   inside a thin epoll shell on one thread — the 10k-daemon service
 //!   envelope.
-//! * [`depot`] — data management, caching and archiving. The paper's
-//!   cache is a **single XML document updated by streaming parse**
-//!   ([`XmlCache`]: insert time grows with cache size, §5.2 and
-//!   Figure 9); a depot runs on [`RopeCache`] unless asked for that
-//!   one by name ([`CacheBackend::Splice`]), and both render the same
-//!   bytes. Archiving compiles Inca archival policies into round-robin
-//!   databases.
+//! * [`depot`] — data management, caching and archiving. A depot
+//!   caches on [`RopeCache`] (O(report) writes). The paper's cache, a
+//!   **single XML document updated by streaming parse** ([`XmlCache`]:
+//!   insert time grows with cache size, §5.2 and Figure 9), renders
+//!   the same bytes and stays as the rope's test oracle and its
+//!   document validator. Archiving compiles Inca archival policies
+//!   into round-robin databases.
 //! * [`query`] — the querying interface: current data by branch
 //!   identifier (whole cache, subtree, or single report) and archived
 //!   data as labelled series.
@@ -35,8 +35,6 @@
 //!   periodically records the framework's own metrics registry
 //!   (gauges, counter rates, histogram quantiles) into archive series
 //!   queryable through [`temporal`] — Inca monitoring Inca.
-//! * [`stats`] — response-time statistics per report-size bucket
-//!   (Table 4) and received-size histograms (Figure 8).
 
 #![deny(missing_docs)]
 #![deny(clippy::undocumented_unsafe_blocks)]
@@ -48,7 +46,6 @@ pub mod federation;
 pub mod query;
 pub mod reactor;
 pub mod scrape;
-pub mod stats;
 pub mod temporal;
 
 pub use controller::{CentralizedController, ControllerConfig, DecodedSubmission};
@@ -64,5 +61,4 @@ pub use federation::{
 pub use query::QueryInterface;
 pub use reactor::ReactorHandle;
 pub use scrape::{MetricsScraper, SELF_SCRAPE_TIERS, SELF_SERIES_PREFIX};
-pub use stats::{BucketStats, ResponseStats, SIZE_BUCKETS};
 pub use temporal::{Incident, IncidentCause, TemporalQuery, WindowAggregate};

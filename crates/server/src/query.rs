@@ -273,12 +273,11 @@ mod tests {
         assert_eq!(q.temporal().resource_reports("tg", "ncsa", "tg2").unwrap().len(), 1);
     }
 
-    /// On one backend, twice over: a write is visible to the next point
-    /// and subtree read, both land under `result="miss"`, and a repeated
-    /// set read lands under `result="hit"` until the next write.
-    fn reads_see_every_write_and_only_parsed_set_reads_hit(
-        backend: crate::depot::depot::CacheBackend,
-    ) {
+    /// Twice over: a write is visible to the next point and subtree
+    /// read, both land under `result="miss"`, and a repeated set read
+    /// lands under `result="hit"` until the next write.
+    #[test]
+    fn repeated_queries_hit_the_memo_until_ingest_invalidates() {
         let branch: BranchId =
             "reporter=version.globus,resource=tg1,site=sdsc,vo=tg".parse().unwrap();
         let site: BranchId = "site=sdsc,vo=tg".parse().unwrap();
@@ -294,7 +293,7 @@ mod tests {
         // An isolated registry: the counts below must not see queries
         // from concurrently running tests.
         let obs = inca_obs::Obs::new();
-        let mut depot = Depot::with_obs_backend(obs.clone(), backend);
+        let mut depot = Depot::with_obs(obs.clone());
         let count = |result: &str| {
             obs.metrics()
                 .histogram_of("inca_depot_query_seconds", &[("result", result)])
@@ -306,31 +305,17 @@ mod tests {
             let q = QueryInterface::new(&depot);
             // The next point and subtree reads see the write.
             let report = q.report(&branch).unwrap().unwrap();
-            assert_eq!(report.body.lookup_text(&p).unwrap(), version, "{backend:?}");
+            assert_eq!(report.body.lookup_text(&p).unwrap(), version);
             let subtree = q.current(&site).unwrap().unwrap();
-            assert!(subtree.contains(version), "{backend:?} round {round}");
+            assert!(subtree.contains(version), "round {round}");
             // Point and subtree reads always go to the cache.
-            assert_eq!((count("hit"), count("miss")), (hits, misses + 2), "{backend:?}");
+            assert_eq!((count("hit"), count("miss")), (hits, misses + 2));
             // A set read parses what was written since the last one (a
             // miss); repeated, it is answered from the parsed memo (a hit).
             assert_eq!(q.reports(None).unwrap().len(), 1);
             assert_eq!(q.reports(None).unwrap().len(), 1);
-            assert_eq!((count("hit"), count("miss")), (hits + 1, misses + 3), "{backend:?}");
+            assert_eq!((count("hit"), count("miss")), (hits + 1, misses + 3));
         }
-    }
-
-    #[test]
-    fn repeated_queries_hit_the_memo_until_ingest_invalidates() {
-        reads_see_every_write_and_only_parsed_set_reads_hit(
-            crate::depot::depot::CacheBackend::Splice,
-        );
-    }
-
-    #[test]
-    fn memo_tracks_the_rope_generation_counter() {
-        reads_see_every_write_and_only_parsed_set_reads_hit(
-            crate::depot::depot::CacheBackend::Rope,
-        );
     }
 
     #[test]

@@ -65,8 +65,11 @@ struct Conn {
     written: usize,
     /// The interest this machine last asked the shell for.
     interest: Interest,
-    /// Close once `outbuf` drains (EOF seen or protocol error).
+    /// Close once `outbuf` drains and `in_flight` is 0 (EOF seen or
+    /// protocol error).
     closing: bool,
+    /// Frames in this pass's batch whose replies are not staged yet.
+    in_flight: usize,
     /// On the visit queue and not yet settled.
     queued: bool,
     /// Last read or write progress.
@@ -186,6 +189,7 @@ impl Machine {
                 written: 0,
                 interest: Interest::READ,
                 closing: false,
+                in_flight: 0,
                 queued: false,
                 last_activity: now,
             },
@@ -317,6 +321,7 @@ impl Machine {
                 .accept_to_insert
                 .observe_with_exemplar(received_at.elapsed().as_secs_f64(), trace_id);
             let Some(conn) = self.conns.get_mut(&token) else { continue };
+            conn.in_flight -= 1;
             match response {
                 ServerResponse::Ack => conn.outbuf.extend_from_slice(ACK_FRAME),
                 rejected => stage_reply(conn, &rejected.encode()),
@@ -381,6 +386,7 @@ impl Machine {
                     let submission = DecodedSubmission::from_frame(&payload);
                     let trace = submission.message.as_ref().ok().and_then(|m| m.trace);
                     let trace_id = trace.map_or(0, |ctx| ctx.trace_id);
+                    conn.in_flight += 1;
                     self.batch.push(PendingFrame {
                         conn: token,
                         submission,
@@ -401,8 +407,8 @@ impl Machine {
         }
     }
 
-    /// Marks a connection closing; it closes as soon as its staged
-    /// replies have drained.
+    /// Marks a connection closing; it closes as soon as the replies to
+    /// its frames are staged and have drained.
     fn close_after_flush(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else { return };
         conn.closing = true;
@@ -412,11 +418,11 @@ impl Machine {
 
     /// Recomputes `token`'s interest after its state moved, queueing a
     /// visit if it changed; a closing connection with nothing left to
-    /// send closes.
+    /// send and no frame awaiting a reply closes.
     fn refresh(&mut self, token: u64) {
         let pause = self.config.pause_outbuf_bytes;
         let Some(conn) = self.conns.get_mut(&token) else { return };
-        if conn.closing && conn.pending_out() == 0 {
+        if conn.closing && conn.pending_out() == 0 && conn.in_flight == 0 {
             self.close(token);
             return;
         }

@@ -120,10 +120,18 @@ mod sys {
             Ok(Poller { epfd, events: vec![EpollEvent { events: 0, data: 0 }; capacity] })
         }
 
+        /// `EPOLLRDHUP` is armed only with `EPOLLIN`. Level-triggered,
+        /// a peer's half-close stays reported until the socket is
+        /// closed, so armed on a connection whose reads are withdrawn
+        /// (paused by backpressure, or flushing its last replies) it
+        /// would wake every pass for a read the reactor will not do.
+        /// Nothing is missed: once read interest is back, the pending
+        /// EOF reports as readable on the next wait. `EPOLLHUP` and
+        /// `EPOLLERR` are reported whatever the mask.
         fn mask(interest: Interest) -> u32 {
-            let mut m = EPOLLRDHUP;
+            let mut m = 0;
             if interest.read {
-                m |= EPOLLIN;
+                m |= EPOLLIN | EPOLLRDHUP;
             }
             if interest.write {
                 m |= EPOLLOUT;

@@ -1,8 +1,8 @@
 //! Property tests for the parsed-report memo behind every set read:
 //! across arbitrary interleavings of single receives, batches (with
 //! rejected envelopes and same-branch repeats), ingest-forced arena
-//! compactions and set reads at assorted suffixes, on both cache
-//! backends, `QueryInterface::reports(q)` must equal a fresh
+//! compactions and set reads at assorted suffixes, with XML and binary
+//! envelopes, `QueryInterface::reports(q)` must equal a fresh
 //! `Report::parse` of every raw string `Depot::query_reports(q)` lists,
 //! in the same order — whatever the memo had parsed before.
 
@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use inca_obs::Obs;
 use inca_report::{BranchId, Report, ReportBuilder, Timestamp};
 use inca_server::depot::rope::COMPACT_MIN_ARENA_BYTES;
-use inca_server::{CacheBackend, Depot, QueryInterface};
+use inca_server::{Depot, QueryInterface};
 use inca_wire::envelope::{Envelope, EnvelopeMode};
 
 /// Suffixes the reads rotate through; `None` reads the whole cache.
@@ -140,12 +140,9 @@ proptest! {
     fn set_reads_equal_a_fresh_parse_of_the_raw_reports(
         steps in proptest::collection::vec(step_strategy(), 1..14)
     ) {
-        for (backend, mode) in [
-            (CacheBackend::Splice, EnvelopeMode::Body),
-            (CacheBackend::Rope, EnvelopeMode::Binary),
-        ] {
+        for mode in [EnvelopeMode::Body, EnvelopeMode::Binary] {
             let obs = Obs::new();
-            let mut depot = Depot::with_obs_backend(obs.clone(), backend);
+            let mut depot = Depot::with_obs(obs.clone());
             let mut forced = 0;
             for (step, read) in &steps {
                 apply(&mut depot, step, mode);
@@ -155,11 +152,9 @@ proptest! {
             // A closing whole-cache read sees every branch, whichever
             // suffixes the history happened to warm.
             check_read(&depot, None)?;
-            if backend == CacheBackend::Rope {
-                let compactions =
-                    obs.metrics().counter_value("inca_depot_compactions_total", &[]).unwrap_or(0);
-                prop_assert!(compactions >= forced, "every Compact step must compact the arena");
-            }
+            let compactions =
+                obs.metrics().counter_value("inca_depot_compactions_total", &[]).unwrap_or(0);
+            prop_assert!(compactions >= forced, "every Compact step must compact the arena");
         }
     }
 }

@@ -28,6 +28,8 @@
 //! ([`EnvelopeView::decode`]) handles mixed traffic.
 
 use std::borrow::Cow;
+#[cfg(debug_assertions)]
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use inca_obs::TraceContext;
 use inca_report::{BranchId, Report};
@@ -35,6 +37,23 @@ use inca_xml::{escape::escape_text, skim_balanced, Element};
 
 use crate::binframe;
 use crate::message::WireError;
+
+/// Envelope bytes [`Envelope::decode`] has tokenized as XML in this
+/// process.
+#[cfg(debug_assertions)]
+static TOKENIZED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// How many envelope bytes [`Envelope::decode`] has run through the
+/// XML tokenizer in this process: the whole envelope in body mode (the
+/// report's escaped text is tokenized and unescaped with it), the
+/// header alone in attachment mode. The report's own validating parse,
+/// which both modes do, is not counted. Debug builds only: Figure 9's
+/// shape check (`tests/paper_check.rs`) reads it around one unpack of
+/// each mode to prove the attachment saving by counting work.
+#[cfg(debug_assertions)]
+pub fn tokenized_bytes() -> u64 {
+    TOKENIZED_BYTES.load(Ordering::Relaxed)
+}
 
 /// How the report is packed into the envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -139,6 +158,8 @@ impl Envelope {
             let header = std::str::from_utf8(&payload[..sep])
                 .map_err(|e| WireError::Malformed(format!("header not UTF-8: {e}")))?;
             let root = Element::parse(header)?;
+            #[cfg(debug_assertions)]
+            TOKENIZED_BYTES.fetch_add(header.len() as u64, Ordering::Relaxed);
             Self::expect_envelope(&root, "attachment")?;
             let address = Self::address_of(&root)?;
             let declared: usize = root
@@ -162,6 +183,8 @@ impl Envelope {
         let text = std::str::from_utf8(payload)
             .map_err(|e| WireError::Malformed(format!("not UTF-8: {e}")))?;
         let root = Element::parse(text)?;
+        #[cfg(debug_assertions)]
+        TOKENIZED_BYTES.fetch_add(text.len() as u64, Ordering::Relaxed);
         Self::expect_envelope(&root, "body")?;
         let address = Self::address_of(&root)?;
         let report_xml = root

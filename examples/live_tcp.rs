@@ -37,7 +37,7 @@ fn main() {
     }
 
     let (received, cached, errors) = live.server.with_depot(|d| {
-        (d.stats().report_count(), d.cache().report_count(), 0u64)
+        (d.report_count(), d.cache().report_count(), 0u64)
     });
     let _ = errors;
     println!(

@@ -33,7 +33,7 @@ fn main() {
 
     let (reports, cache_bytes) = outcome
         .server
-        .with_depot(|d| (d.stats().report_count(), d.cache().size_bytes()));
+        .with_depot(|d| (d.report_count(), d.cache().size_bytes()));
     println!(
         "  depot received {reports} reports; cache now {:.2} MB; {} verification passes\n",
         cache_bytes as f64 / 1e6,

@@ -76,7 +76,7 @@ fn main() {
     );
     let (reports, cache) = outcome
         .server
-        .with_depot(|d| (d.stats().report_count(), d.cache().size_bytes()));
+        .with_depot(|d| (d.report_count(), d.cache().size_bytes()));
     println!(
         "Depot: {reports} reports received, cache steady at {:.2} MB",
         cache as f64 / 1e6

@@ -25,13 +25,13 @@ cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 echo "== clippy =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# What tier-1 #[ignore]s for time: the depot's Figure 9 scaling check
-# over multi-megabyte caches, and paper_check's replay of all 151,955
-# Table 4 reports through the streaming splice (about two minutes in a
-# release build; one test at a time so the Figure 9 shape check, here
-# at its release thresholds, times a quiet machine).
+# What tier-1 #[ignore]s for time: the paper depot's Figure 9 scaling
+# check over multi-megabyte caches, and paper_check's replay of all
+# 151,955 Table 4 reports through the streaming splice (about two
+# minutes in a release build; one test at a time so the Figure 9 shape
+# check, here with its timed attachment saving, times a quiet machine).
 echo "== slow checks (--ignored) =="
-cargo test -q -p inca-server --lib -- --ignored
+cargo test -q -p inca-core --lib -- --ignored
 cargo test -q --release --test paper_check -- --include-ignored --test-threads=1
 
 # The gated pipeline benchmark's unit tests and a smoke pass keep a
@@ -44,6 +44,17 @@ cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke
 if grep -l '"correct": false' benchmark/out/results.json benchmark/out/run.*.json; then
   echo "verify FAILED: pipeline benchmark smoke produced an incorrect result" >&2
+  exit 1
+fi
+# The simulated week's digest (its cache document and status page) is
+# pinned: the gate fails a change whose week differs from its parent's
+# when both share an --out directory, so catch that here first. A
+# change that means to move the week updates the pin and says why in
+# CHANGES.md.
+SIM_WEEK_DIGEST=605edc343fc41c39
+digest=$(cat benchmark/out/sim_week.seed11.days1.digest)
+if [ "$digest" != "$SIM_WEEK_DIGEST" ]; then
+  echo "verify FAILED: sim_week digest $digest, pinned $SIM_WEEK_DIGEST: the simulated week changed" >&2
   exit 1
 fi
 

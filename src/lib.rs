@@ -61,7 +61,7 @@ pub mod prelude {
     pub use inca_report::{Body, BranchId, Report, ReportBuilder, Timestamp};
     pub use inca_reporters::{Reporter, ReporterContext};
     pub use inca_rrd::{ArchivePolicy, ConsolidationFn};
-    pub use inca_server::{CacheBackend, CentralizedController, Depot, QueryInterface, RopeCache};
+    pub use inca_server::{CentralizedController, Depot, QueryInterface, RopeCache};
     pub use inca_sim::{ServiceKind, Vo, VoResource};
     pub use inca_wire::envelope::{Envelope, EnvelopeMode};
     pub use inca_xml::{Element, IncaPath};

@@ -59,7 +59,7 @@ fn run(faults: Option<ForwardFaultConfig>, threads: usize) -> ChaosOutcome {
     ChaosOutcome {
         cache_document: outcome.server.with_depot(|d| d.cache().document().to_string()),
         cached_reports: outcome.server.with_depot(|d| d.cache().report_count()),
-        ingested_reports: outcome.server.with_depot(|d| d.stats().report_count()),
+        ingested_reports: outcome.server.with_depot(|d| d.report_count()),
         duplicates: outcome.server.duplicate_count(),
         retries: obs
             .metrics()

@@ -44,7 +44,7 @@ fn run_with_threads(threads: usize) -> Fingerprint {
             .server
             .with_depot(|d| d.cache().document().to_string()),
         cached_reports: outcome.server.with_depot(|d| d.cache().report_count()),
-        received_reports: outcome.server.with_depot(|d| d.stats().report_count()),
+        received_reports: outcome.server.with_depot(|d| d.report_count()),
         verification_passes: outcome.verification_passes,
         health_page: outcome.health_page,
         daemon_stats: outcome

@@ -27,7 +27,7 @@ fn full_pipeline_one_hour() {
     assert_eq!(executed, 1_060);
 
     // Every execution produced exactly one depot submission.
-    let received = outcome.server.with_depot(|d| d.stats().report_count());
+    let received = outcome.server.with_depot(|d| d.report_count());
     assert_eq!(received, executed);
 
     // The status page verifies hundreds of data points across all ten
@@ -121,7 +121,7 @@ fn attachment_mode_end_to_end() {
         },
     )
     .run();
-    let received = outcome.server.with_depot(|d| d.stats().report_count());
+    let received = outcome.server.with_depot(|d| d.report_count());
     assert_eq!(received, 71, "rachel runs 71 instances per hour");
 }
 

@@ -103,12 +103,9 @@ fn grid_scale_global_document_matches_single_depot_oracle() {
     );
     assert!(fed.largest_cache_bytes() <= 96 * 1024);
 
-    // The oracle: one depot on the paper's splice cache ingesting the
-    // identical payloads.
-    let oracle = CentralizedController::new(
-        ControllerConfig::default(),
-        Depot::with_obs_backend(Obs::new(), CacheBackend::Splice),
-    );
+    // The oracle: one depot ingesting the identical payloads.
+    let oracle =
+        CentralizedController::new(ControllerConfig::default(), Depot::with_obs(Obs::new()));
     for (host, payload) in &batch {
         let (response, _) = oracle.submit(host, payload, start + 3_600);
         assert_eq!(response, ServerResponse::Ack);
@@ -251,7 +248,7 @@ fn rollups_forward_exactly_once_under_chaos_and_answer_vo_compliance() {
     // and its *cache* holds one current rollup per site.
     assert!(root.duplicate_count() > 0, "chaos must have produced duplicate submissions");
     assert_eq!(
-        root.with_depot(|d| d.stats().report_count()),
+        root.with_depot(|d| d.report_count()),
         enqueued as u64,
         "every enqueued rollup ingested exactly once"
     );

@@ -109,7 +109,7 @@ mod decode_once {
                 "one ClientMessage::decode per received frame"
             );
             assert_eq!(acked, payloads.len() - 2);
-            assert_eq!(controller.with_depot(|d| d.stats().report_count()), 24);
+            assert_eq!(controller.with_depot(|d| d.report_count()), 24);
         });
     }
 
@@ -179,7 +179,7 @@ fn relayed_rollup_is_accepted_by_parents_that_list_only_the_relay() {
         let outcome = relay.deliver_due(1_000);
         assert_eq!((outcome.delivered, outcome.rejected, outcome.failed), (3, 0, 0));
         assert!(relay.is_empty());
-        assert_eq!(parent.with_depot(|d| d.stats().report_count()), 3);
+        assert_eq!(parent.with_depot(|d| d.report_count()), 3);
 
         // The same leaf submitting directly — no hop stamp — is not
         // on the list.
@@ -188,7 +188,7 @@ fn relayed_rollup_is_accepted_by_parents_that_list_only_the_relay() {
             direct,
             Ok(ServerResponse::Rejected("host leaf.site.example.org not in allowlist".into()))
         );
-        assert_eq!(parent.with_depot(|d| d.stats().report_count()), 3);
+        assert_eq!(parent.with_depot(|d| d.report_count()), 3);
         assert_eq!(
             parent
                 .obs()

@@ -136,7 +136,7 @@ fn frontends_converge_byte_identical_under_connection_chaos() {
         "chaos run on the reactor must converge to the in-process document"
     );
     assert_eq!(
-        reactor.with_depot(|d| d.stats().report_count()),
+        reactor.with_depot(|d| d.report_count()),
         (DAEMONS as u64) * SEQS,
         "every (daemon, seq) ingests exactly once"
     );
@@ -168,7 +168,7 @@ fn reactor_multiplexes_many_connections_through_the_public_surface() {
     for c in clients {
         c.join().unwrap();
     }
-    assert_eq!(controller.with_depot(|d| d.stats().report_count()), 16 * 8);
+    assert_eq!(controller.with_depot(|d| d.report_count()), 16 * 8);
     // 16 daemons × 5 rotating reporters = 80 live branches.
     assert_eq!(controller.with_depot(|d| d.cache().report_count()), 16 * 5);
     handle.stop();
@@ -198,7 +198,7 @@ fn reactor_connection_count_stays_bounded_under_connection_churn() {
         0,
         "connections held after churn of {CYCLES} closed ones"
     );
-    assert_eq!(controller.with_depot(|d| d.stats().report_count()), CYCLES as u64);
+    assert_eq!(controller.with_depot(|d| d.report_count()), CYCLES as u64);
     handle.stop();
 }
 

@@ -141,7 +141,7 @@ fn simulated_deployment_reports_daemon_and_depot_metrics() {
     };
     let accepted = metric("inca_controller_accepted_total") as u64;
     let total_reports =
-        outcome.server.with_depot(|d| d.stats().report_count());
+        outcome.server.with_depot(|d| d.report_count());
     assert_eq!(accepted, total_reports, "every accepted submission reached the depot");
     assert_eq!(metric("inca_depot_insert_seconds_count") as u64, total_reports);
     assert!(metric("inca_depot_cache_reports") > 0.0);

@@ -90,7 +90,9 @@ fn quietest_cells(
 /// §5.2.2 on the smallest and largest cache of the paper's sweep and
 /// its smallest and largest report: the splice grows with the cache
 /// and not with the report, the unpack with the report and not with
-/// the cache, and attachments take at least half the large unpack away.
+/// the cache, and attachments skip the body's pass over the report —
+/// counted in every build, and timed (at least half the large unpack
+/// taken away) in release builds.
 #[test]
 fn fig9_keeps_the_papers_shape() {
     let _alone = QUIET.write().unwrap_or_else(PoisonError::into_inner);
@@ -115,17 +117,45 @@ fn fig9_keeps_the_papers_shape() {
         let (small, big) = (unpack(cache, small_report), unpack(cache, big_report));
         assert!(big >= small * 2.5, "unpack {small:.1} -> {big:.1} us from 851 to 45,527 B");
     }
+    // The paper's proposed saving, by counting work: the body unpack
+    // tokenizes and unescapes the whole envelope, every byte of the
+    // escaped report with it; the attachment unpack tokenizes its
+    // header and none of the report. (Both then validate the report
+    // with one parse.)
+    #[cfg(debug_assertions)]
+    for report in [small_report, big_report] {
+        use inca::harness::experiments::paper_depot::PaperDepot;
+        use inca::wire::envelope::tokenized_bytes;
+        let unpack = |mode| {
+            let (bytes, report_len) = fig9::probe_envelope(report, mode);
+            let before = tokenized_bytes();
+            PaperDepot::new().receive(&bytes).expect("probe envelope valid");
+            (tokenized_bytes() - before, bytes.len() as u64, report_len as u64)
+        };
+        let (body, body_len, report_len) = unpack(EnvelopeMode::Body);
+        assert_eq!(body, body_len, "the body unpack tokenizes the whole envelope");
+        assert!(body > report_len, "{body} envelope bytes hold the {report_len}-byte report");
+        let (attached, attached_len, _) = unpack(EnvelopeMode::Attachment);
+        assert_eq!(attached, attached_len - report_len - 1, "the header alone, at {report} B");
+    }
+    // Timed, the saving is a ratio of microsecond means, which a
+    // loaded machine moves past the bound about one run in ten in a
+    // debug build; scripts/verify.sh runs this file in release, alone.
     // The two modes lean on different resources (the body is
     // unescaped, the attachment copied), so each side is the quietest
     // of three caches as well.
-    let quietest_unpack = |mode| {
-        (0..3)
-            .map(|_| quietest_cells(mode, &[small_cache], &[big_report])[&(small_cache, big_report)].0)
-            .fold(f64::INFINITY, f64::min)
-    };
-    let (in_body, attached) =
-        (quietest_unpack(EnvelopeMode::Body), quietest_unpack(EnvelopeMode::Attachment));
-    assert!(attached * 2.0 <= in_body, "attachment unpack {attached:.1} vs body {in_body:.1} us");
+    if !cfg!(debug_assertions) {
+        let quietest_unpack = |mode| {
+            (0..3)
+                .map(|_| {
+                    quietest_cells(mode, &[small_cache], &[big_report])[&(small_cache, big_report)].0
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let (in_body, attached) =
+            (quietest_unpack(EnvelopeMode::Body), quietest_unpack(EnvelopeMode::Attachment));
+        assert!(attached * 2.0 <= in_body, "attachment unpack {attached:.1} vs body {in_body:.1} us");
+    }
 
     // The checked-in printouts are this renderer's, whatever the
     // machine that timed them.

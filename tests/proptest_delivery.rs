@@ -43,7 +43,7 @@ fn run(faults: Option<ForwardFaultConfig>) -> Outcome {
     .run();
     Outcome {
         cache_document: outcome.server.with_depot(|d| d.cache().document().to_string()),
-        ingested_reports: outcome.server.with_depot(|d| d.stats().report_count()),
+        ingested_reports: outcome.server.with_depot(|d| d.report_count()),
         forward_errors: outcome.daemons.iter().map(|d| d.stats().forward_errors).sum(),
     }
 }

@@ -86,7 +86,7 @@ fn lost_reply_costs_a_retry_never_a_duplicate_insert() {
     assert!(transport.send(&entry.message).is_err(), "all replies must be lost");
     spool.nack(seq, 0);
     assert_eq!(spool.depth(), 1, "unacked report must stay queued");
-    assert_eq!(controller.with_depot(|d| d.stats().report_count()), 1);
+    assert_eq!(controller.with_depot(|d| d.report_count()), 1);
 
     // Attempt 2 (after backoff): the identical stamped message is
     // retransmitted; the server recognizes the seq and acks without
@@ -103,7 +103,7 @@ fn lost_reply_costs_a_retry_never_a_duplicate_insert() {
 
     // Exactly one depot insert; both retransmissions were absorbed at
     // admission and counted.
-    assert_eq!(controller.with_depot(|d| d.stats().report_count()), 1);
+    assert_eq!(controller.with_depot(|d| d.report_count()), 1);
     assert_eq!(controller.with_depot(|d| d.cache().report_count()), 1);
     assert_eq!(controller.duplicate_count(), 2);
     assert_eq!(
@@ -164,7 +164,7 @@ fn reconnect_mid_spool_drain_converges_exactly_once_on_reactor() {
     assert!(spool.is_empty(), "drain completed across the reconnect");
     handle.stop();
 
-    assert_eq!(controller.with_depot(|d| d.stats().report_count()), TOTAL);
+    assert_eq!(controller.with_depot(|d| d.report_count()), TOTAL);
     assert_eq!(controller.with_depot(|d| d.cache().report_count()), TOTAL as usize);
     assert_eq!(controller.duplicate_count(), 1, "the blind retransmit was absorbed");
     assert_eq!(obs.metrics().counter_value("inca_depot_duplicates_total", &[]), Some(1));
@@ -195,6 +195,6 @@ fn fresh_seqs_after_the_retry_still_ingest() {
         }
         spool.ack(seq);
     }
-    assert_eq!(controller.with_depot(|d| d.stats().report_count()), 3);
+    assert_eq!(controller.with_depot(|d| d.report_count()), 3);
     assert_eq!(controller.duplicate_count(), 3);
 }

@@ -1,10 +1,13 @@
 //! End-to-end byte-identity for the O(report) write path.
 //!
-//! The rope cache and the binary envelope are fast paths beside the
-//! paper's splice cache and XML envelope — encodings, not different
-//! semantics. A full simulated deployment run on the fast path, even
-//! under aggressive forward-fault injection, must end with a depot
-//! cache byte-identical to the fault-free run on the 2004 path.
+//! The binary envelope is a fast path beside the paper's XML envelope —
+//! an encoding, not different semantics. A full simulated deployment
+//! run on the binary envelope, even under aggressive forward-fault
+//! injection, must end with a depot cache byte-identical to the
+//! fault-free run on the 2004 envelope. (The rope against the paper's
+//! streaming splice is held at the depot, by
+//! `receive_batch_matches_an_xml_cache_replay_of_what_it_accepted`, and
+//! at the cache, by `crates/server/tests/proptest_rope.rs`.)
 
 use inca::prelude::*;
 use inca::sim::ForwardFaultConfig;
@@ -35,7 +38,6 @@ struct Outcome {
 }
 
 fn run(
-    backend: CacheBackend,
     mode: EnvelopeMode,
     faults: Option<ForwardFaultConfig>,
     threads: usize,
@@ -51,7 +53,6 @@ fn run(
             verify_every_secs: None,
             sim_threads: threads,
             forward_faults: faults,
-            cache_backend: backend,
             envelope_mode: mode,
             ..Default::default()
         },
@@ -60,7 +61,7 @@ fn run(
     Outcome {
         cache_document: outcome.server.with_depot(|d| d.cache().document().to_string()),
         cached_reports: outcome.server.with_depot(|d| d.cache().report_count()),
-        ingested_reports: outcome.server.with_depot(|d| d.stats().report_count()),
+        ingested_reports: outcome.server.with_depot(|d| d.report_count()),
         duplicates: outcome.server.duplicate_count(),
         retries: obs
             .metrics()
@@ -70,28 +71,23 @@ fn run(
 }
 
 #[test]
-fn rope_binary_run_is_byte_identical_to_splice_body_run() {
-    let baseline = run(CacheBackend::Splice, EnvelopeMode::Body, None, 1);
+fn binary_run_is_byte_identical_to_body_run() {
+    let baseline = run(EnvelopeMode::Body, None, 1);
     assert!(baseline.ingested_reports > 200, "baseline must be a real run");
-    let fast = run(CacheBackend::Rope, EnvelopeMode::Binary, None, 1);
+    let fast = run(EnvelopeMode::Binary, None, 1);
     assert_eq!(fast.ingested_reports, baseline.ingested_reports);
     assert_eq!(fast.cached_reports, baseline.cached_reports);
     assert_eq!(
         fast.cache_document, baseline.cache_document,
-        "rope+binary cache must be byte-identical to splice+XML"
+        "binary-envelope cache must be byte-identical to the XML-envelope one"
     );
 }
 
 #[test]
-fn chaotic_rope_binary_run_converges_to_the_fault_free_splice_cache() {
+fn chaotic_binary_run_converges_to_the_fault_free_body_run() {
     let (start, _) = horizon();
-    let baseline = run(CacheBackend::Splice, EnvelopeMode::Body, None, 1);
-    let chaotic = run(
-        CacheBackend::Rope,
-        EnvelopeMode::Binary,
-        Some(chaos_schedule(start)),
-        1,
-    );
+    let baseline = run(EnvelopeMode::Body, None, 1);
+    let chaotic = run(EnvelopeMode::Binary, Some(chaos_schedule(start)), 1);
     // The chaos actually bit on the fast path too.
     assert!(chaotic.retries > 0, "fault schedule must force retries");
     assert!(chaotic.duplicates > 0, "lost acks must produce absorbed duplicates");
@@ -99,18 +95,16 @@ fn chaotic_rope_binary_run_converges_to_the_fault_free_splice_cache() {
     assert_eq!(chaotic.ingested_reports, baseline.ingested_reports);
     assert_eq!(
         chaotic.cache_document, baseline.cache_document,
-        "chaotic rope+binary cache must converge to the fault-free splice cache"
+        "chaotic binary-envelope cache must converge to the fault-free XML-envelope cache"
     );
 }
 
 #[test]
 fn rope_backend_is_deterministic_across_thread_counts() {
     let (start, _) = horizon();
-    let sequential =
-        run(CacheBackend::Rope, EnvelopeMode::Binary, Some(chaos_schedule(start)), 1);
+    let sequential = run(EnvelopeMode::Binary, Some(chaos_schedule(start)), 1);
     for threads in [2usize, 8] {
-        let parallel =
-            run(CacheBackend::Rope, EnvelopeMode::Binary, Some(chaos_schedule(start)), threads);
+        let parallel = run(EnvelopeMode::Binary, Some(chaos_schedule(start)), threads);
         assert_eq!(
             sequential.cache_document, parallel.cache_document,
             "rope cache diverged at {threads} threads"
