@@ -318,6 +318,64 @@ mod tests {
         }
     }
 
+    /// The parsed memo moves with the rope's generation counter: reads
+    /// move neither, a write batch bumps the generation once and the
+    /// next set read parses again, and a batch that accepts nothing
+    /// bumps nothing and leaves the memo answering whole.
+    #[test]
+    fn memo_tracks_the_rope_generation_counter() {
+        let branches: [BranchId; 2] = [
+            "reporter=version.globus,resource=tg1,site=sdsc,vo=tg".parse().unwrap(),
+            "reporter=version.globus,resource=tg2,site=ncsa,vo=tg".parse().unwrap(),
+        ];
+        let p: inca_xml::IncaPath = "packageVersion".parse().unwrap();
+        let batch = |version: &str| -> Vec<Vec<u8>> {
+            let report = ReportBuilder::new("r", "1.0")
+                .gmt(Timestamp::from_secs(1_000))
+                .body_value("packageVersion", version)
+                .success()
+                .unwrap();
+            branches
+                .iter()
+                .map(|b| Envelope::new(b.clone(), report.to_xml()).encode(EnvelopeMode::Binary))
+                .collect()
+        };
+        let obs = inca_obs::Obs::new();
+        let mut depot = Depot::with_obs(obs.clone());
+        let count = |result: &str| {
+            obs.metrics()
+                .histogram_of("inca_depot_query_seconds", &[("result", result)])
+                .map_or(0, |h| h.count())
+        };
+        let now = Timestamp::from_secs(1_000);
+        let versions = |depot: &Depot| -> Vec<String> {
+            let reports = QueryInterface::new(depot).reports(None).unwrap();
+            reports.iter().map(|(_, r)| r.body.lookup_text(&p).unwrap().to_string()).collect()
+        };
+
+        assert!(depot.receive_batch(&batch("1.0"), now).iter().all(Result::is_ok));
+        let g = depot.cache().generation();
+        let (hits, misses) = (count("hit"), count("miss"));
+        assert_eq!(versions(&depot), ["1.0", "1.0"]);
+        assert_eq!(versions(&depot), ["1.0", "1.0"]);
+        assert_eq!((count("hit"), count("miss")), (hits + 1, misses + 1));
+        assert_eq!(depot.cache().generation(), g, "reads do not bump the generation");
+
+        // Nothing accepted: no bump, and the memo still answers whole.
+        let rejected = depot.receive_batch(&[b"garbage".to_vec()], now);
+        assert!(rejected[0].is_err());
+        assert_eq!(depot.cache().generation(), g);
+        assert_eq!(versions(&depot), ["1.0", "1.0"]);
+        assert_eq!((count("hit"), count("miss")), (hits + 2, misses + 1));
+
+        // Both branches replaced in one batch: one bump, one re-parse.
+        assert!(depot.receive_batch(&batch("2.0"), now).iter().all(Result::is_ok));
+        assert_eq!(depot.cache().generation(), g + 1);
+        assert_eq!(versions(&depot), ["2.0", "2.0"]);
+        assert_eq!(versions(&depot), ["2.0", "2.0"]);
+        assert_eq!((count("hit"), count("miss")), (hits + 3, misses + 2));
+    }
+
     #[test]
     fn archived_series_roundtrip() {
         let mut depot = Depot::new();
