@@ -12,7 +12,8 @@
 use std::time::{Duration, Instant};
 
 use inca_report::{BranchId, ReportBuilder, Timestamp};
-use inca_server::{RopeCache, XmlCache};
+use inca_paper::XmlCache;
+use inca_server::RopeCache;
 
 struct Config {
     smoke: bool,

@@ -21,8 +21,6 @@
 //! * [`daemon`] — the controller itself: fires due entries, executes
 //!   reporters against the simulated VO, kills over-budget runs and
 //!   submits the §3.1.3 special error reports, forwards results,
-//! * [`impact`] — the §5.1 system-impact model: CPU/memory sampling of
-//!   the daemon and its forked processes every 10–11 s (Figure 7),
 //! * [`spool`] — the bounded durable delivery queue behind exactly-once
 //!   report ingest: per-daemon `(daemon_id, seq)` stamping, capped
 //!   exponential backoff with deterministic jitter, dump/restore
@@ -33,7 +31,6 @@
 pub mod daemon;
 pub mod exec;
 pub mod forwarder;
-pub mod impact;
 pub mod scheduler;
 pub mod spec;
 pub mod spool;
@@ -43,7 +40,6 @@ pub use exec::{DurationModel, ExecRecord, ProcessTable};
 pub use forwarder::{
     CollectingTransport, DepotRelay, RelayOutcome, TcpTransport, Transport, DEFAULT_IO_TIMEOUT,
 };
-pub use impact::{ImpactModel, ImpactSample};
 pub use scheduler::Scheduler;
 pub use spec::{Spec, SpecEntry};
 pub use spool::{BackoffPolicy, Spool, SpoolConfig, SpoolEntry};

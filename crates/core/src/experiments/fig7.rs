@@ -7,12 +7,11 @@
 //! including the one fork-storm incident that took memory to ~1 GB.
 
 use inca_consumer::render_histogram;
-use inca_controller::{
-    impact::histogram, CollectingTransport, DistributedController, ImpactModel, ImpactSample,
-};
+use inca_controller::{CollectingTransport, DistributedController};
 use inca_report::Timestamp;
 
 use crate::deployment::teragrid_deployment;
+use crate::impact::{histogram, ImpactModel, ImpactSample};
 
 /// The experiment's outputs.
 #[derive(Debug, Clone)]

@@ -12,7 +12,8 @@
 
 use std::time::{Duration, Instant};
 
-use inca_server::{DepotError, DepotTiming, XmlCache};
+use inca_paper::{XmlCache, XmlCacheError};
+use inca_server::{CacheError, DepotError, DepotTiming};
 use inca_wire::envelope::Envelope;
 
 use crate::stats::ResponseStats;
@@ -38,7 +39,9 @@ impl PaperDepot {
         let envelope = Envelope::decode(envelope_bytes)?;
         let unpack = started.elapsed();
         let started = Instant::now();
-        self.cache.update(&envelope.address, &envelope.report_xml)?;
+        self.cache
+            .update(&envelope.address, &envelope.report_xml)
+            .map_err(|XmlCacheError::Corrupt(m)| DepotError::Cache(CacheError::Corrupt(m)))?;
         let timing = DepotTiming {
             unpack,
             insert: started.elapsed(),

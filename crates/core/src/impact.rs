@@ -17,7 +17,7 @@
 
 use inca_report::Timestamp;
 
-use crate::exec::ProcessTable;
+use inca_controller::ProcessTable;
 
 /// One `top`-style sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,7 +164,7 @@ pub fn histogram(values: impl Iterator<Item = f64>, edges: &[f64]) -> Vec<(f64, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ExecRecord;
+    use inca_controller::ExecRecord;
 
     fn week() -> (Timestamp, Timestamp) {
         let start = Timestamp::from_gmt(2004, 6, 29, 0, 0, 0);
@@ -174,7 +174,7 @@ mod tests {
     /// A synthetic week of 128 hourly reporters like Caltech's.
     fn caltech_like_table(start: Timestamp, end: Timestamp) -> ProcessTable {
         let mut table = ProcessTable::new();
-        let model = crate::exec::DurationModel::new(11);
+        let model = inca_controller::DurationModel::new(11);
         let mut t = start;
         while t < end {
             for r in 0..128u64 {

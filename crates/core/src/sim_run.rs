@@ -2,11 +2,9 @@
 //!
 //! [`SimRun`] wires a [`Deployment`] together exactly as Figure 1 draws
 //! the architecture: one distributed controller per resource executing
-//! reporters against the simulated VO (concurrently across
-//! [`SimOptions::sim_threads`] OS threads — the real clients run on
-//! separate hosts), per-daemon spools standing in for the
-//! client→server TCP hop and draining into one deterministic batched
-//! submission per tick (handed to the controller's
+//! reporters against the simulated VO, per-daemon spools standing in
+//! for the client→server TCP hop and draining into one deterministic
+//! batched submission per tick (handed to the controller's
 //! [`CentralizedController::submit_batch_decoded`] as the messages the
 //! daemons built — in process there is no wire, so nothing is encoded
 //! or decoded), the centralized controller checking the
@@ -23,11 +21,11 @@
 //! retry client-side (the seq dedup absorbs the duplicate), delays
 //! hold entries in flight, and scheduled restarts dump/restore a
 //! daemon's spool mid-run. All delivery decisions happen in the
-//! sequential drain phase, so outcomes stay byte-identical across
-//! `sim_threads` — and, because every spool is flushed fault-free at
-//! the horizon, identical to the fault-free run's final cache.
+//! sequential drain phase, so a seed fixes the outcome — and, because
+//! every spool is flushed fault-free at the horizon, the final cache is
+//! the fault-free run's.
 
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use inca_agreement::{verify_resource, ComplianceSummary};
 use inca_consumer::{build_status_page, AvailabilityTracker, StatusPage};
@@ -39,11 +37,10 @@ use inca_server::{
     CacheBackend, CentralizedController, ControllerConfig, DecodedSubmission, Depot,
     MetricsScraper, QueryInterface,
 };
-use inca_sim::{ForwardFault, ForwardFaultConfig, Vo};
+use inca_sim::{ForwardFault, ForwardFaultConfig};
 use inca_wire::envelope::EnvelopeMode;
 use inca_wire::message::{ClientMessage, ServerResponse};
 use inca_wire::HostAllowlist;
-use parking_lot::Mutex;
 
 use crate::deployment::Deployment;
 
@@ -58,92 +55,6 @@ struct DeferredTransport;
 impl Transport for DeferredTransport {
     fn send(&self, _: &ClientMessage) -> Result<ServerResponse, String> {
         Err("deferred delivery: the simulation drain loop owns all sends".into())
-    }
-}
-
-/// Persistent tick workers, spawned once per run and reused for every
-/// simulated tick (a `thread::scope` spawn *per tick* inverted the
-/// scaling — more threads, more spawns, slower run).
-///
-/// Daemons move: a tick hands *chunks* of due `(index, daemon)` pairs
-/// to the pool over a channel, workers pull from the shared queue
-/// (dynamic load balance), fire each daemon against the VO, and send
-/// the chunk home. `Transport: Send` makes the move legal, and each
-/// daemon is internally sequential, so which worker runs it can only
-/// change wall-clock time, never output.
-///
-/// Chunking is the task-granularity fix for an anti-scaling measured
-/// earlier (8 threads *slower* than 1): a typical tick has
-/// ~10 due daemons each firing for tens of microseconds, so one
-/// channel round-trip + queue-mutex handoff *per daemon* dominated the
-/// fired work and grew with thread count. A chunk must carry enough
-/// fire-work to amortize its ~10 µs handoff, and the pool only engages
-/// at all when every worker can be handed a full chunk — anything
-/// finer (including the TeraGrid deployment's 10-daemon ticks) measured
-/// faster inline on every thread count.
-const MIN_DAEMONS_PER_TASK: usize = 32;
-
-struct WorkerPool {
-    /// `None` only during drop (closing the channel stops the workers).
-    task_tx: Option<mpsc::Sender<Vec<(usize, DistributedController)>>>,
-    done_rx: mpsc::Receiver<Vec<(usize, DistributedController)>>,
-    threads: usize,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Spawns `threads` workers firing daemons against `vo` (a clone
-    /// of the deployment's VO — read-only during the run).
-    fn new(threads: usize, vo: Arc<Vo>) -> WorkerPool {
-        let (task_tx, task_rx) = mpsc::channel::<Vec<(usize, DistributedController)>>();
-        let (done_tx, done_rx) = mpsc::channel();
-        let task_rx = Arc::new(Mutex::new(task_rx));
-        let handles = (0..threads)
-            .map(|_| {
-                let task_rx = Arc::clone(&task_rx);
-                let done_tx = done_tx.clone();
-                let vo = Arc::clone(&vo);
-                std::thread::spawn(move || loop {
-                    let task = task_rx.lock().recv();
-                    let Ok(mut chunk) = task else { break };
-                    for (_, daemon) in chunk.iter_mut() {
-                        daemon.run_next_batch(&vo);
-                    }
-                    if done_tx.send(chunk).is_err() {
-                        break;
-                    }
-                })
-            })
-            .collect();
-        WorkerPool { task_tx: Some(task_tx), done_rx, threads, handles }
-    }
-
-    /// Runs every `(index, daemon)` task across the pool, returning
-    /// the daemons (in completion order) once all have fired. Tasks
-    /// are chunked so no worker round-trip carries fewer than
-    /// [`MIN_DAEMONS_PER_TASK`] daemons (except the final remainder).
-    fn run_tick(
-        &self,
-        mut tasks: Vec<(usize, DistributedController)>,
-    ) -> Vec<(usize, DistributedController)> {
-        let chunk_size = tasks.len().div_ceil(self.threads).max(MIN_DAEMONS_PER_TASK);
-        let tx = self.task_tx.as_ref().expect("pool is live");
-        let mut sent = 0usize;
-        while !tasks.is_empty() {
-            let rest = tasks.split_off(chunk_size.min(tasks.len()));
-            tx.send(std::mem::replace(&mut tasks, rest)).expect("worker thread alive");
-            sent += 1;
-        }
-        (0..sent).flat_map(|_| self.done_rx.recv().expect("worker thread alive")).collect()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.task_tx.take();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -186,18 +97,14 @@ pub struct SimOptions {
     /// stops hearing from it. Default false: the paper's availability
     /// experiments (§5.1) need daemons alive to report failures.
     pub offline_when_down: bool,
-    /// Worker threads for each simulation tick: the daemons due at
-    /// time `t` fire concurrently across this many OS threads (the
-    /// real deployment's clients run on separate hosts). The outcome
-    /// is identical for any value — every tick's reports drain into
-    /// one deterministic, branch-ordered batch regardless of how the
-    /// daemons were scheduled. Default 1 (sequential).
+    /// Selects nothing: daemons fire on the calling thread, one after
+    /// another, at any value. Kept only because the gated pipeline
+    /// benchmark sets it.
     pub sim_threads: usize,
     /// Forward-path fault injection (message/reply drops, delays,
     /// partitions, daemon restarts), or `None` for a fault-free wire.
     /// Fault decisions are deterministic per seed and applied in the
-    /// sequential drain phase, so any schedule preserves
-    /// thread-count determinism; the end-of-horizon flush delivers
+    /// sequential drain phase; the end-of-horizon flush delivers
     /// every still-spooled report fault-free, so the final cache
     /// matches the fault-free run byte for byte.
     pub forward_faults: Option<ForwardFaultConfig>,
@@ -267,17 +174,12 @@ pub struct SimRun {
     deployment: Deployment,
     options: SimOptions,
     server: Arc<CentralizedController>,
-    /// `None` marks a daemon currently out on the worker pool; every
-    /// slot is `Some` between ticks.
-    daemons: Vec<Option<DistributedController>>,
+    daemons: Vec<DistributedController>,
     /// One hostname per daemon, same order as `daemons` — the
     /// submission peer identity and the fault schedule's daemon key.
     hostnames: Vec<String>,
     tracker: AvailabilityTracker,
     monitor: Option<HealthMonitor>,
-    /// Persistent tick workers when `sim_threads > 1` (spawned once,
-    /// reused every tick, joined when the run ends).
-    pool: Option<WorkerPool>,
     /// Durable trace sink, when [`SimOptions::trace_store`] is set.
     trace_store: Option<Arc<TraceStore>>,
     /// Self-scrape pipeline, when [`SimOptions::scrape_every_secs`]
@@ -316,14 +218,12 @@ impl SimRun {
             daemon.set_deferred_delivery(true);
             daemon.set_offline_when_down(options.offline_when_down);
             daemon.register_from_catalog(&deployment.catalog);
-            daemons.push(Some(daemon));
+            daemons.push(daemon);
         }
         let monitor = options
             .health_rules
             .clone()
             .map(|rules| HealthMonitor::with_obs(rules, obs.clone()));
-        let pool = (options.sim_threads > 1)
-            .then(|| WorkerPool::new(options.sim_threads, Arc::new(deployment.vo.clone())));
         let trace_store = options.trace_store.as_ref().map(|dir| {
             let store = Arc::new(
                 TraceStore::open(dir, TraceStoreConfig::default())
@@ -342,7 +242,6 @@ impl SimRun {
             hostnames,
             tracker: AvailabilityTracker::figure5(),
             monitor,
-            pool,
             trace_store,
             scraper,
         }
@@ -391,57 +290,22 @@ impl SimRun {
         summaries
     }
 
-    /// Fires every daemon due at `t`, spread across the persistent
-    /// [`WorkerPool`] when [`SimOptions::sim_threads`] `> 1` — the
-    /// real deployment's clients run on separate hosts. Each daemon is
+    /// Fires every daemon due at `t`, in daemon order. Each daemon is
     /// sequential internally (own seeded RNG, own scheduler, own
-    /// buffer), so which worker runs it can only change wall-clock
-    /// time, never any daemon's output.
+    /// buffer), and its reports wait in its spool for the drain.
     fn fire_due_daemons(&mut self, t: Timestamp) {
-        let due: Vec<usize> = self
-            .daemons
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| {
-                d.as_ref().expect("daemon home between ticks").peek_next() == Some(t)
-            })
-            .map(|(index, _)| index)
-            .collect();
-        // The pool only pays when every worker can be handed a full
-        // chunk; a tick smaller than that (the common case — most
-        // ticks fire a handful of daemons for microseconds each) runs
-        // inline, where the round-trip would be pure overhead.
-        match &self.pool {
-            Some(pool) if due.len() >= pool.threads * MIN_DAEMONS_PER_TASK => {
-                let tasks: Vec<(usize, DistributedController)> = due
-                    .into_iter()
-                    .map(|index| {
-                        (index, self.daemons[index].take().expect("daemon home between ticks"))
-                    })
-                    .collect();
-                for (index, daemon) in pool.run_tick(tasks) {
-                    self.daemons[index] = Some(daemon);
-                }
-            }
-            _ => {
-                let vo = &self.deployment.vo;
-                for index in due {
-                    self.daemons[index]
-                        .as_mut()
-                        .expect("daemon home between ticks")
-                        .run_next_batch(vo);
-                }
-            }
+        let vo = &self.deployment.vo;
+        for daemon in self.daemons.iter_mut().filter(|d| d.peek_next() == Some(t)) {
+            daemon.run_next_batch(vo);
         }
     }
 
     /// Drains every daemon's spool into one batched server submission,
     /// rolling the fault dice per entry when a schedule is configured.
     ///
-    /// The order is deterministic regardless of thread count: spools
-    /// are visited in daemon index order (each spool's content is
-    /// fixed by that daemon's seed), entries leave each spool in seq
-    /// order, then the combined batch is *stably* sorted by branch —
+    /// The order is deterministic: spools are visited in daemon index
+    /// order (each spool's content is fixed by that daemon's seed),
+    /// entries leave each spool in seq order, then the combined batch is *stably* sorted by branch —
     /// so within one branch, submissions keep seq order and the
     /// cache's last-writer-wins semantics see reports in the order the
     /// daemon produced them.
@@ -458,8 +322,7 @@ impl SimRun {
         let faults = self.options.forward_faults.clone().filter(|f| !f.is_none());
         for index in 0..self.daemons.len() {
             let hostname = self.hostnames[index].clone();
-            let daemon =
-                self.daemons[index].as_mut().expect("daemon home between ticks");
+            let daemon = &mut self.daemons[index];
             for entry in daemon.due_deliveries(t, false) {
                 let fault = faults
                     .as_ref()
@@ -518,8 +381,7 @@ impl SimRun {
             .unzip();
         let results = self.server.submit_batch_decoded(submissions, t);
         for ((index, seq, reply_dropped), (response, _)) in resolve.into_iter().zip(results) {
-            let daemon =
-                self.daemons[index].as_mut().expect("daemon home between ticks");
+            let daemon = &mut self.daemons[index];
             if reply_dropped {
                 // Whatever the server answered, the daemon never heard
                 // it: back off and retry. If the server ingested, the
@@ -544,9 +406,7 @@ impl SimRun {
         loop {
             let mut batch: Vec<(usize, u64, ClientMessage, bool)> = Vec::new();
             for index in 0..self.daemons.len() {
-                let daemon =
-                    self.daemons[index].as_mut().expect("daemon home between ticks");
-                for entry in daemon.due_deliveries(t, true) {
+                for entry in self.daemons[index].due_deliveries(t, true) {
                     batch.push((index, entry.seq, entry.message, false));
                 }
             }
@@ -562,7 +422,7 @@ impl SimRun {
     pub fn run(mut self) -> SimOutcome {
         let start = self.deployment.start;
         let end = self.deployment.end;
-        for daemon in self.daemons.iter_mut().flatten() {
+        for daemon in &mut self.daemons {
             daemon.prime(start);
         }
         let verify_every = self.options.verify_every_secs;
@@ -576,19 +436,11 @@ impl SimRun {
         let mut prev_t = start;
         loop {
             // The earliest pending event across all daemons.
-            let next_fire = self
-                .daemons
-                .iter()
-                .flatten()
-                .filter_map(DistributedController::peek_next)
-                .min();
+            let next_fire =
+                self.daemons.iter().filter_map(DistributedController::peek_next).min();
             // Spooled retries/delays wake the loop even between fires.
-            let next_delivery = self
-                .daemons
-                .iter()
-                .flatten()
-                .filter_map(DistributedController::next_delivery_due)
-                .min();
+            let next_delivery =
+                self.daemons.iter().filter_map(DistributedController::next_delivery_due).min();
             let next_restart = faults
                 .as_ref()
                 .and_then(|f| f.next_restart_after(prev_t.as_secs()))
@@ -635,10 +487,7 @@ impl SimRun {
                     if let Some(index) =
                         self.hostnames.iter().position(|h| h == name)
                     {
-                        self.daemons[index]
-                            .as_mut()
-                            .expect("daemon home between ticks")
-                            .restart_spool(t);
+                        self.daemons[index].restart_spool(t);
                     }
                 }
             }
@@ -684,11 +533,7 @@ impl SimRun {
         }
         SimOutcome {
             final_page,
-            daemons: self
-                .daemons
-                .into_iter()
-                .map(|d| d.expect("every daemon returned home"))
-                .collect(),
+            daemons: self.daemons,
             server: self.server,
             verification_passes: passes,
             health: self.monitor,
@@ -704,55 +549,6 @@ mod tests {
     use crate::deployment::teragrid_deployment;
 
     #[test]
-    fn pool_run_tick_fires_like_inline_and_returns_every_daemon() {
-        // The engagement threshold keeps small ticks off the pool, so
-        // exercise `run_tick` directly: firing a full daemon set
-        // through the chunked workers must leave every daemon in the
-        // same state as firing them inline, whatever completion order
-        // the workers produce.
-        let (start, end) = short_horizon(2);
-        let mk = || {
-            SimRun::new(
-                teragrid_deployment(42, start, end),
-                SimOptions { verify_every_secs: None, ..Default::default() },
-            )
-        };
-        let mut inline_run = mk();
-        let vo = Arc::new(inline_run.deployment.vo.clone());
-        for daemon in inline_run.daemons.iter_mut() {
-            let daemon = daemon.as_mut().unwrap();
-            daemon.prime(start);
-            daemon.run_next_batch(&vo);
-        }
-
-        let mut pooled_run = mk();
-        let pool = WorkerPool::new(3, Arc::clone(&vo));
-        let tasks: Vec<(usize, DistributedController)> = pooled_run
-            .daemons
-            .iter_mut()
-            .enumerate()
-            .map(|(index, slot)| {
-                let mut daemon = slot.take().unwrap();
-                daemon.prime(start);
-                (index, daemon)
-            })
-            .collect();
-        let fired = pool.run_tick(tasks);
-        assert_eq!(fired.len(), pooled_run.daemons.len(), "every daemon comes home");
-        for (index, daemon) in fired {
-            assert!(pooled_run.daemons[index].is_none(), "no index fired twice");
-            pooled_run.daemons[index] = Some(daemon);
-        }
-
-        for (inline, pooled) in inline_run.daemons.iter().zip(&pooled_run.daemons) {
-            let (inline, pooled) = (inline.as_ref().unwrap(), pooled.as_ref().unwrap());
-            assert!(inline.stats().executed > 0, "the tick fired real work");
-            assert_eq!(inline.stats(), pooled.stats());
-            assert_eq!(inline.spool().depth(), pooled.spool().depth());
-        }
-    }
-
-    #[test]
     fn verification_pass_records_the_series_a_per_resource_pass_would() {
         // The pass records every resource under one write guard; the
         // `availability:*` series, their creation order and their
@@ -763,10 +559,10 @@ mod tests {
             teragrid_deployment(42, start, end),
             SimOptions { verify_every_secs: Some(600), ..Default::default() },
         );
-        for daemon in run.daemons.iter_mut().flatten() {
+        for daemon in &mut run.daemons {
             daemon.prime(start);
         }
-        let first = run.daemons.iter().flatten().filter_map(|d| d.peek_next()).min().unwrap();
+        let first = run.daemons.iter().filter_map(|d| d.peek_next()).min().unwrap();
         run.fire_due_daemons(first);
         run.drain_tick(first);
 

@@ -16,9 +16,6 @@
 //!   lock-free [`Counter`]s, [`Gauge`]s, and fixed-bucket
 //!   [`Histogram`]s, and renders the whole registry in the Prometheus
 //!   text exposition format.
-//! - **Exposition lint** ([`lint`]): a pure-Rust, promtool-style
-//!   conformance checker over rendered exposition text, used by the
-//!   format tests and `scripts/verify.sh`.
 //! - **Durable trace store** ([`store`]): a segmented, size-rotated
 //!   JSONL [`TraceStore`] sink with an in-memory index rebuilt from
 //!   segment footers on open, so trace forensics (`by_trace`,
@@ -67,7 +64,6 @@
 
 #![deny(missing_docs)]
 
-pub mod lint;
 pub mod metrics;
 pub mod sinks;
 pub mod store;

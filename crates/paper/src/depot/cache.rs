@@ -17,9 +17,10 @@
 //! time is linear in cache size, which is precisely the behaviour
 //! Figure 9 measures. Queries stream the same way.
 //!
-//! This is the paper's design and the byte-identity oracle for
-//! [`super::rope::RopeCache`], the cache a depot runs on by default:
-//! it wants to be obviously correct, not fast.
+//! This is the paper's design, which the Figure 9 and Table 4 exhibits
+//! time, and the byte-identity oracle for `inca-server`'s `RopeCache`,
+//! the cache a depot runs on: it wants to be obviously correct, not
+//! fast.
 
 use std::fmt;
 
@@ -28,29 +29,29 @@ use inca_xml::{escape::escape_attr, Token, Tokenizer, XmlError};
 
 /// Errors from cache operations.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CacheError {
+pub enum XmlCacheError {
     /// The cache document itself failed to parse (corruption).
     Corrupt(String),
 }
 
-impl fmt::Display for CacheError {
+impl fmt::Display for XmlCacheError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CacheError::Corrupt(m) => write!(f, "cache corrupt: {m}"),
+            XmlCacheError::Corrupt(m) => write!(f, "cache corrupt: {m}"),
         }
     }
 }
 
-impl std::error::Error for CacheError {}
+impl std::error::Error for XmlCacheError {}
 
-impl From<XmlError> for CacheError {
+impl From<XmlError> for XmlCacheError {
     fn from(e: XmlError) -> Self {
-        CacheError::Corrupt(e.to_string())
+        XmlCacheError::Corrupt(e.to_string())
     }
 }
 
-fn corrupt(message: &str) -> CacheError {
-    CacheError::Corrupt(message.into())
+fn corrupt(message: &str) -> XmlCacheError {
+    XmlCacheError::Corrupt(message.into())
 }
 
 /// Where an update must touch the document.
@@ -113,7 +114,7 @@ impl XmlCache {
     /// persisted before siblings were placed canonically) is refused
     /// rather than restored into a cache whose updates would duplicate
     /// branches.
-    pub fn from_document(doc: String) -> Result<XmlCache, CacheError> {
+    pub fn from_document(doc: String) -> Result<XmlCache, XmlCacheError> {
         let mut report_count = 0;
         walk(&doc, &mut |path, _| {
             branch_of(path)?;
@@ -147,7 +148,7 @@ impl XmlCache {
     /// existing ancestor level (see `find_splice`) — and rebuilds the
     /// string around it. The report XML is spliced verbatim (it was
     /// validated upstream by the envelope decode).
-    pub fn update(&mut self, branch: &BranchId, report_xml: &str) -> Result<(), CacheError> {
+    pub fn update(&mut self, branch: &BranchId, report_xml: &str) -> Result<(), XmlCacheError> {
         self.insert_batch(&[(branch, report_xml)])
     }
 
@@ -155,7 +156,7 @@ impl XmlCache {
     /// and one generation bump (none for an empty batch). A branch
     /// named twice holds its last content. On error (a corrupt
     /// document) the cache is left untouched.
-    pub fn insert_batch(&mut self, items: &[(&BranchId, &str)]) -> Result<(), CacheError> {
+    pub fn insert_batch(&mut self, items: &[(&BranchId, &str)]) -> Result<(), XmlCacheError> {
         let Some(((branch, xml), rest)) = items.split_first() else {
             return Ok(());
         };
@@ -181,7 +182,7 @@ impl XmlCache {
     /// level with every report below it — "this can either be a single
     /// report, a set of related reports, or a specific portion of a
     /// report" (§3.2.3). Streams until the queried level closes.
-    pub fn subtree(&self, query: &BranchId) -> Result<Option<String>, CacheError> {
+    pub fn subtree(&self, query: &BranchId) -> Result<Option<String>, XmlCacheError> {
         let hierarchy: Vec<(&str, &str)> = query.hierarchy().collect();
         let mut tok = Tokenizer::new(&self.doc);
         expect_root(&mut tok)?;
@@ -224,7 +225,7 @@ impl XmlCache {
     /// suffix `query` (or all reports when `query` is `None`). Used by
     /// data consumers. The `visit_reports` walk with every visit
     /// copied out.
-    pub fn reports(&self, query: Option<&BranchId>) -> Result<Vec<(BranchId, String)>, CacheError> {
+    pub fn reports(&self, query: Option<&BranchId>) -> Result<Vec<(BranchId, String)>, XmlCacheError> {
         let mut out = Vec::new();
         self.visit_reports(query, &mut |path, xml| {
             out.push((branch_of(path)?, xml.to_string()));
@@ -244,9 +245,9 @@ impl XmlCache {
         &'a self,
         query: Option<&BranchId>,
         visit: &mut F,
-    ) -> Result<(), CacheError>
+    ) -> Result<(), XmlCacheError>
     where
-        F: FnMut(&[(&str, &str)], &'a str) -> Result<(), CacheError>,
+        F: FnMut(&[(&str, &str)], &'a str) -> Result<(), XmlCacheError>,
     {
         let prefix: Vec<(&str, &str)> = query.map(|q| q.hierarchy().collect()).unwrap_or_default();
         walk(&self.doc, &mut |path, xml| {
@@ -272,7 +273,7 @@ impl XmlCache {
 
 /// `doc` with `report_xml` stored at `branch`, and whether that added
 /// a report (`false`: it replaced one).
-fn spliced(doc: &str, branch: &BranchId, report_xml: &str) -> Result<(String, bool), CacheError> {
+fn spliced(doc: &str, branch: &BranchId, report_xml: &str) -> Result<(String, bool), XmlCacheError> {
     let hierarchy: Vec<(&str, &str)> = branch.hierarchy().collect();
     let mut out = String::with_capacity(doc.len() + report_xml.len() + 128);
     match find_splice(doc, &hierarchy)? {
@@ -309,7 +310,7 @@ fn spliced(doc: &str, branch: &BranchId, report_xml: &str) -> Result<(String, bo
 /// render byte-identical documents no matter what order the reports
 /// arrived in (the property the delivery-chaos tests and the rope's
 /// byte-identity rest on).
-fn find_splice(doc: &str, hierarchy: &[(&str, &str)]) -> Result<Splice, CacheError> {
+fn find_splice(doc: &str, hierarchy: &[(&str, &str)]) -> Result<Splice, XmlCacheError> {
     let mut tok = Tokenizer::new(doc);
     expect_root(&mut tok)?;
     let mut matched = 0usize;
@@ -376,9 +377,9 @@ struct Level {
 /// Streams the whole document, calling `visit(path, report_xml)` for
 /// every report in document order (`path` general-first), and fails on
 /// anything [`XmlCache::from_document`] promises to reject.
-fn walk<'a, F>(doc: &'a str, visit: &mut F) -> Result<(), CacheError>
+fn walk<'a, F>(doc: &'a str, visit: &mut F) -> Result<(), XmlCacheError>
 where
-    F: FnMut(&[(&str, &str)], &'a str) -> Result<(), CacheError>,
+    F: FnMut(&[(&str, &str)], &'a str) -> Result<(), XmlCacheError>,
 {
     let mut tok = Tokenizer::new(doc);
     expect_root(&mut tok)?;
@@ -443,15 +444,15 @@ where
 
 /// The branch identifier of a general-first walk path (identifiers
 /// read specific-first).
-pub(crate) fn branch_of(path: &[(&str, &str)]) -> Result<BranchId, CacheError> {
-    BranchId::new(path.iter().rev().copied()).map_err(|e| CacheError::Corrupt(e.to_string()))
+fn branch_of(path: &[(&str, &str)]) -> Result<BranchId, XmlCacheError> {
+    BranchId::new(path.iter().rev().copied()).map_err(|e| XmlCacheError::Corrupt(e.to_string()))
 }
 
 /// Consumes the `<incaCache>` start tag.
-fn expect_root(tok: &mut Tokenizer<'_>) -> Result<(), CacheError> {
+fn expect_root(tok: &mut Tokenizer<'_>) -> Result<(), XmlCacheError> {
     match tok.next_token()? {
         Some(Token::StartTag { name: "incaCache", self_closing: false, .. }) => Ok(()),
-        other => Err(CacheError::Corrupt(format!("bad root: {other:?}"))),
+        other => Err(XmlCacheError::Corrupt(format!("bad root: {other:?}"))),
     }
 }
 
@@ -461,12 +462,12 @@ fn attr<'a>(attrs: &'a [inca_xml::Attribute<'a>], name: &str) -> Option<&'a str>
 
 /// Consumes tokens until the already-opened element `name` closes;
 /// returns the byte offset just past its end tag.
-fn skip_subtree(tok: &mut Tokenizer<'_>, name: &str) -> Result<usize, CacheError> {
+fn skip_subtree(tok: &mut Tokenizer<'_>, name: &str) -> Result<usize, XmlCacheError> {
     let mut depth = 1usize;
     loop {
         let token = tok
             .next_token()?
-            .ok_or_else(|| CacheError::Corrupt(format!("<{name}> never closes")))?;
+            .ok_or_else(|| XmlCacheError::Corrupt(format!("<{name}> never closes")))?;
         match token {
             Token::StartTag { self_closing: false, .. } => depth += 1,
             Token::EndTag { .. } => {
@@ -745,13 +746,13 @@ mod tests {
                    </branch></incaCache>";
         assert!(matches!(
             XmlCache::from_document(dup.to_string()),
-            Err(CacheError::Corrupt(_))
+            Err(XmlCacheError::Corrupt(_))
         ));
         let dup_branch = "<incaCache><branch name=\"vo\" id=\"tg\"></branch>\
                           <branch name=\"vo\" id=\"tg\"></branch></incaCache>";
         assert!(matches!(
             XmlCache::from_document(dup_branch.to_string()),
-            Err(CacheError::Corrupt(_))
+            Err(XmlCacheError::Corrupt(_))
         ));
     }
 
@@ -784,7 +785,7 @@ mod tests {
         ];
         for (what, doc) in cases {
             assert!(
-                matches!(XmlCache::from_document(doc.to_string()), Err(CacheError::Corrupt(_))),
+                matches!(XmlCache::from_document(doc.to_string()), Err(XmlCacheError::Corrupt(_))),
                 "{what} must be rejected"
             );
         }

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use inca_report::{BranchId, ReportBuilder, Timestamp};
-use inca_server::XmlCache;
+use inca_paper::XmlCache;
 
 fn value_strategy() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-z0-9]{1,8}").unwrap()

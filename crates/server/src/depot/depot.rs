@@ -24,9 +24,8 @@ use inca_wire::envelope::EnvelopeView;
 use inca_wire::message::WireError;
 
 use crate::depot::archive::{ArchiveRule, ArchiveStore};
-use crate::depot::cache::{branch_of, CacheError};
 use crate::depot::memo::ParsedMemo;
-use crate::depot::rope::RopeCache;
+use crate::depot::rope::{branch_of, CacheError, RopeCache};
 
 /// Parsed reports with their branches, in cache order.
 type ParsedReports = Vec<(BranchId, Arc<Report>)>;
@@ -545,7 +544,7 @@ impl Default for Depot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::depot::cache::XmlCache;
+    use inca_paper::XmlCache;
     use inca_report::{BranchId, ReportBuilder};
     use inca_rrd::{ArchivePolicy, ConsolidationFn};
     use inca_wire::envelope::{Envelope, EnvelopeMode};

@@ -3,7 +3,6 @@
 //! very little administration" (§3.2.2).
 
 pub mod archive;
-pub mod cache;
 #[allow(clippy::module_inception)]
 pub mod depot;
 pub(crate) mod memo;

@@ -1,13 +1,11 @@
-//! The O(report) write path: an arena-backed rope over the VO document.
+//! The depot's cache: an arena-backed rope over the VO document.
 //!
-//! [`super::cache::XmlCache`] deliberately reproduces §5.2.2: the cache
-//! is one contiguous XML string, so every insert and every query
-//! streams bytes proportional to the whole cache (Figure 9's growth
-//! curve). This module is the cache a depot runs on: O(report) writes
-//! and O(result) reads. The splice implementation stays beside it as
-//! the paper's design (which the paper's exhibits time), this cache's
-//! byte-identity oracle, and the validator of
-//! [`RopeCache::from_document`].
+//! The paper's cache (§5.2.2, kept in the `inca-paper` crate) is one
+//! contiguous XML string, so every insert and every query streams bytes
+//! proportional to the whole cache (Figure 9's growth curve). This
+//! cache renders the same document with O(report) writes and O(result)
+//! reads; the splice survives outside production, as the exhibits'
+//! cache and as this module's byte-identity oracle in tests.
 //!
 //! ## Representation
 //!
@@ -20,12 +18,12 @@
 //!   down over it, inside the same buffer: the arena's allocation and
 //!   its resident pages last as long as the cache.
 //! * **Tree** — branch levels keyed by raw `(name, id)` in a
-//!   `BTreeMap`, which *is* the canonical sibling order the splice
-//!   cache maintains (PR 5: at every level the level's direct report
-//!   precedes child branches; branches sort by `(name, id)`). Because
-//!   the canonical document is a pure function of cache content, an
-//!   in-order walk of this tree reproduces the splice document
-//!   byte-for-byte — no piece offsets need shifting, ever.
+//!   `BTreeMap`, which *is* the canonical sibling order: at every level
+//!   the level's direct report precedes child branches, and branches
+//!   sort by `(name, id)`. Because the canonical document is a pure
+//!   function of cache content, an in-order walk of this tree
+//!   reproduces the splice document byte-for-byte — no piece offsets
+//!   need shifting, ever.
 //!
 //! An insert is a tree walk plus an arena append: O(report + depth ·
 //! log fanout), independent of cache size. Nothing derived from the
@@ -35,15 +33,51 @@
 //! reads render or borrow only what they return.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use inca_report::BranchId;
 use inca_xml::escape::escape_attr;
-
-use super::cache::{branch_of, CacheError, XmlCache};
+use inca_xml::{Token, Tokenizer, XmlError};
 
 const ROOT_OPEN: &str = "<incaCache>";
 const ROOT_CLOSE: &str = "</incaCache>";
 const BRANCH_CLOSE: &str = "</branch>";
+
+/// Errors from cache reads and from loading a persisted document.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CacheError {
+    /// The cache document, or a report read from it, is corrupt.
+    Corrupt(String),
+}
+
+impl fmt::Display for CacheError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CacheError::Corrupt(m) => write!(f, "cache corrupt: {m}"),
+        }
+    }
+}
+
+impl std::error::Error for CacheError {}
+
+impl From<XmlError> for CacheError {
+    fn from(e: XmlError) -> Self {
+        CacheError::Corrupt(e.to_string())
+    }
+}
+
+fn corrupt(message: impl Into<String>) -> CacheError {
+    CacheError::Corrupt(message.into())
+}
+
+/// The branch identifier of a general-first walk path (identifiers
+/// read specific-first).
+pub(crate) fn branch_of<N: AsRef<str>, V: AsRef<str>>(
+    path: &[(N, V)],
+) -> Result<BranchId, CacheError> {
+    BranchId::new(path.iter().rev().map(|(n, v)| (n.as_ref(), v.as_ref())))
+        .map_err(|e| corrupt(e.to_string()))
+}
 
 /// Arenas smaller than this are never compacted — the garbage is not
 /// worth a compaction pass.
@@ -75,11 +109,11 @@ struct Node {
 
 /// Arena-backed rope representation of the depot cache.
 ///
-/// Mirrors the [`XmlCache`] API (`update`, `insert_batch`, `subtree`,
-/// `reports`, `report_exact`, `from_document`, `generation`) with the
-/// same semantics — including generation-bump behaviour, batch dedup
-/// (last content wins) and canonical document order — but with O(report)
-/// writes. `document()` returns an owned `String`, rendered on demand:
+/// Mirrors the paper's splice cache API (`update`, `insert_batch`,
+/// `subtree`, `reports`, `report_exact`, `from_document`, `generation`)
+/// with the same semantics — including generation-bump behaviour, batch
+/// dedup (last content wins) and canonical document order — but with
+/// O(report) writes. `document()` returns an owned `String`, rendered on demand:
 /// the rope never holds the contiguous document.
 #[derive(Debug)]
 pub struct RopeCache {
@@ -120,26 +154,56 @@ impl RopeCache {
         }
     }
 
-    /// Rebuilds a rope from a persisted document.
+    /// Rebuilds a rope from a persisted document, in one pass.
     ///
-    /// Validation and scanning are delegated to the splice oracle
-    /// (`XmlCache::from_document` — well-formedness, branch-id checks,
-    /// canonical order); the scanned reports are then re-inserted on
-    /// the O(report) path. O(document) at load time, exactly like the
-    /// splice cache.
+    /// One tokenizer scan checks what the reads rely on — the
+    /// `<incaCache>` root and its close, a `name` and an `id` on every
+    /// `<branch>`, balanced branches, reports that close, a valid
+    /// branch identifier for every report, and nothing else between
+    /// them — and inserts each report as it goes. The rope renders
+    /// canonically, so the rebuilt document must then equal `doc` byte
+    /// for byte: that one comparison refuses everything the cache never
+    /// writes (siblings out of order, a report after its level's child
+    /// branches, a report or branch path twice, a self-closing or empty
+    /// `<branch>`). O(document).
     pub fn from_document(doc: String) -> Result<RopeCache, CacheError> {
-        let oracle = XmlCache::from_document(doc)?;
         let mut rope = RopeCache::new();
-        for (branch, xml) in oracle.reports(None)? {
-            rope.insert(&branch, &xml);
+        let mut tok = Tokenizer::new(&doc);
+        match tok.next_token()? {
+            Some(Token::StartTag { name: "incaCache", self_closing: false, .. }) => {}
+            other => return Err(corrupt(format!("bad root: {other:?}"))),
         }
-        rope.generation = 0;
-        debug_assert_eq!(rope.document(), oracle.document());
+        let mut path: Vec<(String, String)> = Vec::new();
+        loop {
+            let start = tok.offset();
+            match tok.next_token()?.ok_or_else(|| corrupt("unexpected end of cache"))? {
+                Token::StartTag { name: "branch", attrs, self_closing: false } => {
+                    let attr = |key| attrs.iter().find(|a| a.name == key).map(|a| a.value.to_string());
+                    let (Some(name), Some(id)) = (attr("name"), attr("id")) else {
+                        return Err(corrupt("branch element missing name/id"));
+                    };
+                    path.push((name, id));
+                }
+                Token::EndTag { name: "branch" } => {
+                    path.pop().ok_or_else(|| corrupt("unbalanced </branch>"))?;
+                }
+                Token::StartTag { name: "incaReport", self_closing, .. } => {
+                    let end = if self_closing { tok.offset() } else { report_end(&mut tok)? };
+                    rope.insert(&branch_of(&path)?, &doc[start..end]);
+                }
+                Token::EndTag { name: "incaCache" } if path.is_empty() => break,
+                other => return Err(corrupt(format!("unexpected {other:?}"))),
+            }
+        }
+        if rope.document() != doc {
+            return Err(corrupt("not the canonical document the cache writes"));
+        }
         Ok(rope)
     }
 
-    /// Monotone counter bumped by every successful mutation — same
-    /// contract as [`XmlCache::generation`].
+    /// Monotone counter bumped by every successful mutation. Memoized
+    /// query layers compare generations instead of documents to decide
+    /// whether a cached result is still valid.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -173,9 +237,8 @@ impl RopeCache {
     }
 
     /// Inserts or replaces `items.len()` reports with one generation
-    /// bump (none for an empty batch) — the same observable semantics
-    /// as [`XmlCache::insert_batch`], including duplicate handling
-    /// (last content wins).
+    /// bump (none for an empty batch); a branch named twice holds its
+    /// last content.
     pub fn insert_batch(&mut self, items: &[(&BranchId, &str)]) -> Result<(), CacheError> {
         if items.is_empty() {
             return Ok(());
@@ -320,9 +383,8 @@ impl RopeCache {
     }
 
     /// The sub-document rooted at the branch level addressed by
-    /// `query`, or `None` when the level does not exist. Byte-identical
-    /// to [`XmlCache::subtree`]: the branch element including its own
-    /// open/close tags. O(result).
+    /// `query`, or `None` when the level does not exist: the branch
+    /// element including its own open/close tags. O(result).
     pub fn subtree(&self, query: &BranchId) -> Result<Option<String>, CacheError> {
         let node = match self.node_at(query) {
             Some(n) => n,
@@ -342,9 +404,8 @@ impl RopeCache {
     }
 
     /// Collects `(branch, report_xml)` pairs under the level addressed
-    /// by `query` (all reports when `None`), in document order —
-    /// byte-identical to [`XmlCache::reports`]: the `visit_reports`
-    /// walk with every visit copied out.
+    /// by `query` (all reports when `None`), in document order: the
+    /// `visit_reports` walk with every visit copied out.
     pub fn reports(&self, query: Option<&BranchId>) -> Result<Vec<(BranchId, String)>, CacheError> {
         let mut out = Vec::new();
         self.visit_reports(query, &mut |path, xml| {
@@ -412,6 +473,20 @@ impl RopeCache {
     }
 }
 
+/// Consumes tokens until the `<incaReport>` just opened closes; returns
+/// the offset just past its end tag.
+fn report_end(tok: &mut Tokenizer<'_>) -> Result<usize, CacheError> {
+    let mut depth = 1usize;
+    while depth > 0 {
+        match tok.next_token()?.ok_or_else(|| corrupt("<incaReport> never closes"))? {
+            Token::StartTag { self_closing: false, .. } => depth += 1,
+            Token::EndTag { .. } => depth -= 1,
+            _ => {}
+        }
+    }
+    Ok(tok.offset())
+}
+
 /// Every live span under `node` (open tags and reports), in tree order.
 fn collect_spans<'a>(node: &'a mut Node, out: &mut Vec<&'a mut Span>) {
     out.extend(node.open.as_mut());
@@ -424,6 +499,7 @@ fn collect_spans<'a>(node: &'a mut Node, out: &mut Vec<&'a mut Span>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inca_paper::XmlCache;
 
     fn b(s: &str) -> BranchId {
         s.parse().unwrap()
@@ -669,5 +745,43 @@ mod tests {
         assert_eq!(restored.size_bytes(), rope.size_bytes());
         assert_eq!(restored.generation(), 0);
         assert!(RopeCache::from_document("<wrong/>".to_string()).is_err());
+    }
+
+    /// Every document the splice cache refuses to load, then documents
+    /// it loads but the rope never writes: whitespace between elements,
+    /// an unknown element, and a branch level with no report below it.
+    #[test]
+    fn from_document_rejects_what_the_cache_never_writes() {
+        let vo = "<branch name=\"vo\" id=\"tg\">";
+        let docs = [
+            "<notACache></notACache>".to_string(),
+            format!("<incaCache>{vo}</branch>"),
+            "<incaCache><branch name=\"vo\"></branch></incaCache>".to_string(),
+            "<incaCache><branch id=\"tg\"></branch></incaCache>".to_string(),
+            "<incaCache><branch name=\"vo\" id=\"tg\"/></incaCache>".to_string(),
+            "<incaCache></branch></incaCache>".to_string(),
+            format!("<incaCache>{vo}</incaCache>"),
+            "<incaCache><incaReport/></incaCache>".to_string(),
+            "<incaCache><branch name=\"vo\" id=\"a,b\"><incaReport/></branch></incaCache>".to_string(),
+            format!("<incaCache>{vo}<incaReport>"),
+            "<incaCache><branch name=\"vo\" id=\"b\"></branch><branch name=\"vo\" id=\"a\"></branch></incaCache>".to_string(),
+            "<incaCache><branch name=\"vo\" id=\"b\"><incaReport/></branch>\
+             <branch name=\"vo\" id=\"a\"><incaReport/></branch></incaCache>"
+                .to_string(),
+            format!("<incaCache>{vo}<branch name=\"site\" id=\"s\"><incaReport/></branch><incaReport/></branch></incaCache>"),
+            format!("<incaCache>{vo}<incaReport>one</incaReport><incaReport>two</incaReport></branch></incaCache>"),
+            format!("<incaCache>{vo}</branch>{vo}</branch></incaCache>"),
+            format!("<incaCache>{vo}<incaReport/></branch>{vo}<incaReport/></branch></incaCache>"),
+            format!("<incaCache>{vo}</branch></incaCache>"),
+            format!("<incaCache> {vo}<incaReport/></branch></incaCache>"),
+            format!("<incaCache>{vo}<note/><incaReport/></branch></incaCache>"),
+            format!("<incaCache>{vo}<branch name=\"site\" id=\"s\"></branch><incaReport/></branch></incaCache>"),
+        ];
+        for doc in docs {
+            let err = RopeCache::from_document(doc.clone());
+            assert!(matches!(err, Err(CacheError::Corrupt(_))), "{doc} must be rejected");
+        }
+        let good = format!("<incaCache>{vo}<incaReport/></branch></incaCache>");
+        assert_eq!(RopeCache::from_document(good.clone()).unwrap().document(), good);
     }
 }

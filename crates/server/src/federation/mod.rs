@@ -43,7 +43,7 @@ use inca_wire::message::{ClientMessage, ServerResponse};
 
 use crate::controller::{CentralizedController, ControllerConfig, DecodedSubmission};
 use crate::depot::archive::ArchiveRule;
-use crate::depot::cache::CacheError;
+use crate::depot::rope::CacheError;
 use crate::depot::depot::{Depot, DepotTiming};
 use crate::query::QueryInterface;
 

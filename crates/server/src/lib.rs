@@ -15,12 +15,13 @@
 //!   inside a thin epoll shell on one thread — the 10k-daemon service
 //!   envelope.
 //! * [`depot`] — data management, caching and archiving. A depot
-//!   caches on [`RopeCache`] (O(report) writes). The paper's cache, a
-//!   **single XML document updated by streaming parse** ([`XmlCache`]:
-//!   insert time grows with cache size, §5.2 and Figure 9), renders
-//!   the same bytes and stays as the rope's test oracle and its
-//!   document validator. Archiving compiles Inca archival policies
-//!   into round-robin databases.
+//!   caches on [`RopeCache`] (O(report) writes, one validating pass to
+//!   load a persisted document). The paper's cache, a **single XML
+//!   document updated by streaming parse** (insert time grows with
+//!   cache size, §5.2 and Figure 9), renders the same bytes; it lives
+//!   in the `inca-paper` crate, outside production, as the exhibits'
+//!   cache and this crate's test oracle. Archiving compiles Inca
+//!   archival policies into round-robin databases.
 //! * [`query`] — the querying interface: current data by branch
 //!   identifier (whole cache, subtree, or single report) and archived
 //!   data as labelled series.
@@ -50,10 +51,9 @@ pub mod temporal;
 
 pub use controller::{CentralizedController, ControllerConfig, DecodedSubmission};
 pub use dedup::{DedupIndex, DEFAULT_DEDUP_WINDOW};
-pub use depot::cache::{CacheError, XmlCache};
 pub use depot::archive::{ArchiveRule, ArchiveStore};
 pub use depot::depot::{CacheBackend, CacheRef, Depot, DepotError, DepotTiming};
-pub use depot::rope::RopeCache;
+pub use depot::rope::{CacheError, RopeCache};
 pub use federation::{
     rollup_branch, rollup_rule, rollup_series_prefix, routing_key, Federation,
     FederationConfig, PartitionMap,

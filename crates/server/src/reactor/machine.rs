@@ -93,10 +93,12 @@ impl Conn {
 
 /// A frame fully received, decoded, and waiting for the depot, with
 /// everything needed to time and answer it. The frame's bytes are gone
-/// by now: the decoded submission is all the controller needs.
+/// by now: the decoded submission is all the controller needs. A frame
+/// that never reaches the depot (an oversize header) carries the reply
+/// it already has instead, so every reply is staged in frame order.
 struct PendingFrame {
     conn: u64,
-    submission: DecodedSubmission,
+    submission: Result<DecodedSubmission, ServerResponse>,
     /// Trace id for the accept-to-insert exemplar.
     trace_id: u64,
     /// When the frame's last byte was reassembled — before its decode,
@@ -217,9 +219,10 @@ impl Machine {
     /// watermark — its bytes stay in the kernel buffer, the daemon's
     /// writes stall and its spool absorbs the overflow — or once the
     /// pass's frame budget is spent, which level triggering re-reports
-    /// next pass.
+    /// next pass. Never once it is closing: an oversize header met on
+    /// the backlog earlier in this pass is still buffered, unanswerable.
     pub(super) fn may_read(&mut self, token: u64) -> bool {
-        let Some(conn) = self.conns.get(&token) else { return false };
+        let Some(conn) = self.conns.get(&token).filter(|c| !c.closing) else { return false };
         if conn.pending_out() >= self.config.pause_outbuf_bytes {
             self.metrics.backpressure.inc();
             self.refresh(token);
@@ -298,9 +301,9 @@ impl Machine {
         Some(conn.interest)
     }
 
-    /// Submits every frame of the pass as one controller batch, stamped
-    /// `wall` for archiving, and stages the replies; each connection
-    /// answered is queued for a visit.
+    /// Submits every decoded frame of the pass as one controller batch,
+    /// stamped `wall` for archiving, and stages every reply in frame
+    /// order; each connection answered is queued for a visit.
     pub(super) fn end_pass(&mut self, wall: Timestamp) {
         if std::mem::take(&mut self.budget_hit) {
             // The rest of the ready sockets went unread this pass.
@@ -309,17 +312,29 @@ impl Machine {
         if self.batch.is_empty() {
             return;
         }
-        let (frames, submissions): (Vec<_>, Vec<_>) = std::mem::take(&mut self.batch)
+        let mut submissions = Vec::with_capacity(self.batch.len());
+        let frames: Vec<_> = std::mem::take(&mut self.batch)
             .into_iter()
-            .map(|f| ((f.conn, f.trace_id, f.received_at), f.submission))
-            .unzip();
-        let results = self.controller.submit_batch_decoded(submissions, wall);
+            .map(|f| {
+                let answered = match f.submission {
+                    Ok(submission) => {
+                        submissions.push(submission);
+                        None
+                    }
+                    Err(reply) => Some(reply),
+                };
+                (f.conn, f.trace_id, f.received_at, answered)
+            })
+            .collect();
+        let mut results = self.controller.submit_batch_decoded(submissions, wall).into_iter();
         let pause = self.config.pause_outbuf_bytes;
-        for ((token, trace_id, received_at), (response, _timing)) in frames.into_iter().zip(results)
-        {
-            self.metrics
-                .accept_to_insert
-                .observe_with_exemplar(received_at.elapsed().as_secs_f64(), trace_id);
+        for (token, trace_id, received_at, answered) in frames {
+            let response = answered.unwrap_or_else(|| {
+                self.metrics
+                    .accept_to_insert
+                    .observe_with_exemplar(received_at.elapsed().as_secs_f64(), trace_id);
+                results.next().expect("one result per submission").0
+            });
             let Some(conn) = self.conns.get_mut(&token) else { continue };
             conn.in_flight -= 1;
             match response {
@@ -389,17 +404,23 @@ impl Machine {
                     conn.in_flight += 1;
                     self.batch.push(PendingFrame {
                         conn: token,
-                        submission,
+                        submission: Ok(submission),
                         trace_id,
                         received_at,
                     });
                 }
                 Ok(None) => return true,
                 Err(_) => {
-                    // The one framing error is an oversize header: answer,
-                    // then hang up once the reply drains.
-                    let resp = ServerResponse::Rejected("frame too large".into());
-                    stage_reply(conn, &resp.encode());
+                    // The one framing error is an oversize header: its
+                    // rejection joins the batch behind the frames read
+                    // before it; hang up once the replies drain.
+                    conn.in_flight += 1;
+                    self.batch.push(PendingFrame {
+                        conn: token,
+                        submission: Err(ServerResponse::Rejected("frame too large".into())),
+                        trace_id: 0,
+                        received_at: Instant::now(),
+                    });
                     self.close_after_flush(token);
                     return false;
                 }

@@ -2,9 +2,9 @@
 //! and the connection state machine driven deterministically over a
 //! seeded in-memory network ([`FakeNet`]) — partial reads and writes
 //! (including writes of 0 bytes), stalled readers, half-closes and
-//! trickled frames, with the clock an argument. Five regressions pin
-//! the reactor's five socket-timing bugs; none needs a sleep or a
-//! pinned kernel buffer.
+//! trickled frames, with the clock an argument. Six regressions pin
+//! the reactor's five socket-timing bugs and its reply-order bug; none
+//! needs a sleep or a pinned kernel buffer.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
@@ -18,7 +18,7 @@ use crate::depot::depot::Depot;
 use inca_obs::sinks::RingSink;
 use inca_obs::{Obs, TraceContext};
 use inca_report::{BranchId, ReportBuilder};
-use inca_wire::frame::{read_frame, write_frame, FrameBuffer, FrameError};
+use inca_wire::frame::{read_frame, write_frame, FrameBuffer, FrameError, MAX_FRAME_LEN};
 use inca_wire::message::{ClientMessage, ServerResponse};
 
 fn message(resource: &str, reporter: &str) -> Vec<u8> {
@@ -281,6 +281,15 @@ fn stalled_reader(net: &mut FakeNet, burst: usize) -> u64 {
     conn
 }
 
+/// A frame header announcing one byte more than the cap.
+fn oversize_header() -> [u8; 4] {
+    (MAX_FRAME_LEN as u32 + 1).to_be_bytes()
+}
+
+fn too_large() -> ServerResponse {
+    ServerResponse::Rejected("frame too large".into())
+}
+
 fn pause_at_8() -> ReactorConfig {
     ReactorConfig { pause_outbuf_bytes: 8, ..ReactorConfig::default() }
 }
@@ -348,7 +357,7 @@ fn stalled_connection_does_not_block_live_traffic() {
 fn oversized_frame_rejected_then_closed() {
     let (_controller, handle) = spawn_reactor();
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    stream.write_all(&((inca_wire::frame::MAX_FRAME_LEN as u32) + 1).to_be_bytes()).unwrap();
+    stream.write_all(&oversize_header()).unwrap();
     let reply = read_frame(&mut stream).unwrap();
     assert!(matches!(ServerResponse::decode(&reply).unwrap(), ServerResponse::Rejected(_)));
     // Connection is closed after the rejection.
@@ -460,6 +469,41 @@ fn half_close_after_the_last_frames_keeps_their_acks() {
     assert_eq!(net.report_count(), burst as u64);
     assert!(net.sock(conn).closed, "closes once the acks are flushed");
     assert_eq!(net.drain(conn, burst, 1), vec![ServerResponse::Ack; burst]);
+}
+
+/// Regression (reply order): an oversize header read behind good frames
+/// was answered at once, ahead of their acks, which are staged at the
+/// end of the pass — `[Rejected, Ack, Ack]` — so a client pairing
+/// replies by position took the oversize report for acked.
+#[test]
+fn oversize_header_is_answered_after_the_frames_before_it() {
+    let mut net = FakeNet::new(ReactorConfig::default());
+    let conn = net.connect(1_024);
+    let mut wire = framed([message("h1", "first"), message("h2", "second")]);
+    wire.extend(oversize_header());
+    net.chunk = vec![0; wire.len()];
+    net.sock(conn).inbound.extend(wire);
+    net.pass();
+    assert_eq!(net.drain(conn, 3, 1), [ServerResponse::Ack, ServerResponse::Ack, too_large()]);
+    assert_eq!(net.report_count(), 2);
+    assert!(net.sock(conn).closed, "hangs up once the rejection is flushed");
+}
+
+/// Regression (double rejection): an oversize header reached from the
+/// backlog at the start of a pass closed the connection, but a read in
+/// the same pass met the header again and staged a second rejection.
+#[test]
+fn oversize_header_on_the_backlog_is_answered_once() {
+    let mut net = FakeNet::new(ReactorConfig { max_batch_frames: 1, ..ReactorConfig::default() });
+    let conn = net.connect(1_024);
+    net.sock(conn).inbound.extend(framed([message("h1", "first"), message("h2", "second")]));
+    net.sock(conn).inbound.extend(oversize_header());
+    net.pass();
+    net.pass();
+    net.sock(conn).inbound.extend(framed([message("h3", "late")]));
+    let replies = net.drain(conn, 4, 3);
+    assert_eq!(replies, [ServerResponse::Ack, ServerResponse::Ack, too_large()]);
+    assert!(net.sock(conn).closed);
 }
 
 /// Regression (pause without pinned kernel buffers): the backpressure
@@ -600,8 +644,9 @@ proptest! {
     /// Arbitrary interleavings of client sends, client reads and
     /// reactor passes, over several connections with partial IO: every
     /// connection's frames are admitted in its order, nothing is lost,
-    /// and its replies arrive in order — exactly as when the same frames
-    /// go straight to `submit_batch_decoded`.
+    /// and the n-th reply answers the n-th frame — exactly as when the
+    /// same frames go straight to `submit_batch_decoded` — undecodable
+    /// frames and a closing oversize header included.
     #[test]
     fn interleavings_admit_like_direct_submission(
         seed in any::<u64>(),
@@ -614,25 +659,36 @@ proptest! {
         half_close in any::<bool>(),
     ) {
         let mut rng = Rng(seed | 1);
-        // Each daemon's frames; one in seven is garbage.
+        // Each daemon's frames; one in seven does not decode (garbage,
+        // empty or truncated), and one daemon in three ends its stream
+        // with an oversize header.
         let payloads: Vec<Vec<Vec<u8>>> = (0..conns)
             .map(|k| {
                 (1..=frames)
                     .map(|seq| {
-                        if rng.below(7) == 0 { vec![0xFF, 0xFE] } else { traced(&format!("d{k}"), seq) }
+                        let frame = traced(&format!("d{k}"), seq);
+                        match rng.below(21) {
+                            0 => vec![0xFF, 0xFE],
+                            1 => Vec::new(),
+                            2 => frame[..frame.len() / 2].to_vec(),
+                            _ => frame,
+                        }
                     })
                     .collect()
             })
             .collect();
+        let oversize: Vec<bool> = (0..conns).map(|_| rng.below(3) == 0).collect();
 
         let (direct, direct_ring) = traced_controller();
         let want: Vec<Vec<ServerResponse>> = payloads
             .iter()
-            .map(|p| {
+            .zip(&oversize)
+            .map(|(p, &oversize)| {
                 direct
                     .submit_batch_decoded(p.iter().map(|f| DecodedSubmission::from_frame(f)), Timestamp::from_secs(1_000))
                     .into_iter()
                     .map(|(r, _)| r)
+                    .chain(oversize.then(too_large))
                     .collect()
             })
             .collect();
@@ -641,7 +697,15 @@ proptest! {
         let config = ReactorConfig { max_batch_frames, pause_outbuf_bytes };
         let mut net = FakeNet::with(Arc::clone(&served), config, seed, Some(max_io));
         let tokens: Vec<u64> = (0..conns).map(|_| net.connect(capacity)).collect();
-        let mut unsent: Vec<Vec<u8>> = payloads.iter().map(|p| framed(p.iter().cloned())).collect();
+        let mut unsent: Vec<Vec<u8>> = payloads
+            .iter()
+            .zip(&oversize)
+            .map(|(p, &oversize)| {
+                let mut wire = framed(p.iter().cloned());
+                wire.extend(oversize.then(oversize_header).into_iter().flatten());
+                wire
+            })
+            .collect();
         let done = |net: &mut FakeNet, unsent: &[Vec<u8>]| {
             tokens.iter().zip(unsent).zip(&want).all(|((&t, rest), want)| {
                 let sock = net.sock(t);
@@ -673,7 +737,11 @@ proptest! {
         }
 
         for ((&token, want), k) in tokens.iter().zip(&want).zip(0..) {
-            prop_assert!(half_close || !net.sock(token).closed, "d{} closed without a half-close", k);
+            prop_assert!(
+                half_close || oversize[k] || !net.sock(token).closed,
+                "d{} closed without a half-close or an oversize header",
+                k
+            );
             prop_assert_eq!(&net.replies(token), want, "d{}", k);
         }
         prop_assert_eq!(admitted(&served_ring), admitted(&direct_ring));

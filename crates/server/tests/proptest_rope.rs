@@ -9,7 +9,8 @@
 use proptest::prelude::*;
 
 use inca_report::{BranchId, ReportBuilder, Timestamp};
-use inca_server::{RopeCache, XmlCache};
+use inca_paper::XmlCache;
+use inca_server::RopeCache;
 
 fn value_strategy() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-z0-9]{1,8}").unwrap()

@@ -46,11 +46,14 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Writes one frame (length prefix + payload) and flushes. A payload
+/// over [`MAX_FRAME_LEN`] is refused with `InvalidInput` before a byte
+/// is written: the sender learns locally what the receiver would reject.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "payload exceeds u32"))?;
-    w.write_all(&len.to_be_bytes())?;
+    if payload.len() > MAX_FRAME_LEN {
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, "payload exceeds MAX_FRAME_LEN"));
+    }
+    w.write_all(&(payload.len() as u32).to_be_bytes())?;
     w.write_all(payload)?;
     w.flush()
 }
@@ -203,6 +206,16 @@ mod tests {
         buf.extend_from_slice(&(u32::MAX).to_be_bytes());
         let mut cur = Cursor::new(buf);
         assert!(matches!(read_frame(&mut cur), Err(FrameError::TooLarge { .. })));
+    }
+
+    #[test]
+    fn write_frame_refuses_an_oversize_payload() {
+        let mut buf = Vec::new();
+        let err = write_frame(&mut buf, &vec![0; MAX_FRAME_LEN + 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(buf.is_empty(), "nothing is written");
+        write_frame(&mut buf, &vec![0; MAX_FRAME_LEN]).unwrap();
+        assert_eq!(buf.len(), 4 + MAX_FRAME_LEN);
     }
 
     #[test]

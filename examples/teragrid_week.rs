@@ -12,8 +12,7 @@
 
 use inca::agreement::Category;
 use inca::consumer::AvailabilityTracker;
-use inca::controller::ImpactModel;
-use inca::harness::teragrid_deployment;
+use inca::harness::{teragrid_deployment, ImpactModel};
 use inca::prelude::*;
 use inca::rrd::ConsolidationFn;
 

@@ -34,6 +34,7 @@
 //! | Deployments, simulation, experiments | [`harness`] |
 //! | Observability: tracing spans + Prometheus metrics | [`obs`] |
 //! | Self-monitoring: SLO rules, alerts, health page | [`health`] |
+//! | The paper's 2004 depot cache (exhibits and test oracle) | [`paper`] |
 
 pub use inca_agreement as agreement;
 pub use inca_consumer as consumer;
@@ -42,6 +43,7 @@ pub use inca_core as harness;
 pub use inca_cron as cron;
 pub use inca_health as health;
 pub use inca_obs as obs;
+pub use inca_paper as paper;
 pub use inca_report as report;
 pub use inca_reporters as reporters;
 pub use inca_rrd as rrd;

@@ -1,14 +1,15 @@
-//! Determinism of the parallel simulation engine.
+//! Determinism of the simulation engine.
 //!
-//! The tick loop fires due daemons across worker threads, but every
-//! tick's reports drain through one deterministic, branch-ordered
-//! batched submission — so a seeded deployment must produce the exact
-//! same outcome no matter how many threads ran it. This is the
-//! contract that makes `sim_threads` a pure wall-clock knob: status
-//! page bytes, cache document bytes, verification passes, health
-//! alerts and per-daemon counters all have to match.
+//! Every daemon draws from its own seeded RNG, every tick's reports
+//! drain through one deterministic, branch-ordered batched submission,
+//! and fault decisions are rolled per seed in that drain — so two runs
+//! of one seeded deployment must produce the exact same outcome, over
+//! a perfect wire and under forward-path chaos alike: status page
+//! bytes, cache document bytes, verification passes, health alerts and
+//! per-daemon counters all have to match.
 
 use inca::prelude::*;
+use inca::sim::ForwardFaultConfig;
 
 /// Everything observable about a finished run, in comparable form.
 #[derive(PartialEq, Debug)]
@@ -17,12 +18,13 @@ struct Fingerprint {
     cache_document: String,
     cached_reports: usize,
     received_reports: u64,
+    duplicates: u64,
     verification_passes: u64,
     health_page: Option<String>,
     daemon_stats: Vec<(u64, u64, u64, u64, u64)>,
 }
 
-fn run_with_threads(threads: usize) -> Fingerprint {
+fn run(faults: Option<ForwardFaultConfig>) -> Fingerprint {
     let start = Timestamp::from_gmt(2004, 7, 7, 0, 0, 0);
     let end = start + 2 * 3_600;
     let deployment = teragrid_deployment(42, start, end);
@@ -33,7 +35,7 @@ fn run_with_threads(threads: usize) -> Fingerprint {
             // no cross-run trace-id reuse muddying the comparison.
             obs: Some(Obs::new()),
             health_rules: Some(default_rules("teragrid")),
-            sim_threads: threads,
+            forward_faults: faults,
             ..Default::default()
         },
     )
@@ -45,6 +47,7 @@ fn run_with_threads(threads: usize) -> Fingerprint {
             .with_depot(|d| d.cache().document().to_string()),
         cached_reports: outcome.server.with_depot(|d| d.cache().report_count()),
         received_reports: outcome.server.with_depot(|d| d.report_count()),
+        duplicates: outcome.server.duplicate_count(),
         verification_passes: outcome.verification_passes,
         health_page: outcome.health_page,
         daemon_stats: outcome
@@ -59,30 +62,23 @@ fn run_with_threads(threads: usize) -> Fingerprint {
 }
 
 #[test]
-fn outcome_is_identical_at_1_2_and_8_threads() {
-    let sequential = run_with_threads(1);
-    // Sanity: the fingerprint captures a real run, not an empty one.
-    assert!(sequential.received_reports > 1_000);
-    assert!(sequential.verification_passes >= 10);
-    assert!(sequential.health_page.is_some());
-
-    for threads in [2usize, 8] {
-        let parallel = run_with_threads(threads);
-        assert_eq!(
-            sequential.status_page, parallel.status_page,
-            "status page bytes diverged at {threads} threads"
-        );
-        assert_eq!(
-            sequential.cache_document, parallel.cache_document,
-            "depot cache document diverged at {threads} threads"
-        );
-        assert_eq!(
-            sequential.health_page, parallel.health_page,
-            "health page diverged at {threads} threads"
-        );
-        assert_eq!(
-            sequential, parallel,
-            "simulation outcome diverged at {threads} threads"
-        );
+fn same_seed_runs_are_identical_with_and_without_faults() {
+    let start = Timestamp::from_gmt(2004, 7, 7, 0, 0, 0).as_secs();
+    let chaos = ForwardFaultConfig {
+        restarts: vec![("rachel.psc.edu".to_string(), start + 2_400)],
+        ..ForwardFaultConfig::chaos(7)
+    };
+    for (what, faults) in [("fault-free", None), ("chaotic", Some(chaos))] {
+        let first = run(faults.clone());
+        // Sanity: the fingerprint captures a real run, not an empty one.
+        assert!(first.received_reports > 1_000, "{what}");
+        assert!(first.verification_passes >= 10, "{what}");
+        assert!(first.health_page.is_some(), "{what}");
+        assert_eq!(first.duplicates > 0, faults.is_some(), "{what}: lost acks bite only under chaos");
+        let second = run(faults);
+        assert_eq!(first.status_page, second.status_page, "{what} status page bytes diverged");
+        assert_eq!(first.cache_document, second.cache_document, "{what} cache document diverged");
+        assert_eq!(first.health_page, second.health_page, "{what} health page diverged");
+        assert_eq!(first, second, "{what} simulation outcome diverged");
     }
 }

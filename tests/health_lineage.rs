@@ -16,11 +16,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use inca::health::{parse_rules, AlertState};
-use inca::obs::lint::lint_exposition;
 use inca::obs::sinks::RingSink;
 use inca::obs::trace::Event;
 use inca::prelude::*;
 use inca::sim::{FailureModel, MaintenanceWindow};
+
+#[path = "support/exposition_lint.rs"]
+mod exposition_lint;
+use exposition_lint::lint_exposition;
 
 const HOST: &str = "rachel.psc.edu";
 

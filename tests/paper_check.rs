@@ -16,7 +16,8 @@ use inca::harness::experiments::{
     fig4, fig5, fig6, fig7, fig8_table4, fig9, table1, table2, table3,
 };
 use inca::report::{BranchId, ReportBuilder, Timestamp};
-use inca::server::{RopeCache, XmlCache};
+use inca::paper::XmlCache;
+use inca::server::RopeCache;
 use inca::wire::envelope::EnvelopeMode;
 use std::sync::{PoisonError, RwLock};
 use std::time::{Duration, Instant};

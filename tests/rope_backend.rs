@@ -37,11 +37,7 @@ struct Outcome {
     retries: u64,
 }
 
-fn run(
-    mode: EnvelopeMode,
-    faults: Option<ForwardFaultConfig>,
-    threads: usize,
-) -> Outcome {
+fn run(mode: EnvelopeMode, faults: Option<ForwardFaultConfig>) -> Outcome {
     let (start, end) = horizon();
     let mut deployment = teragrid_deployment(42, start, end);
     deployment.retain_resources(&[SDSC, PSC]);
@@ -51,7 +47,6 @@ fn run(
         SimOptions {
             obs: Some(obs.clone()),
             verify_every_secs: None,
-            sim_threads: threads,
             forward_faults: faults,
             envelope_mode: mode,
             ..Default::default()
@@ -72,9 +67,9 @@ fn run(
 
 #[test]
 fn binary_run_is_byte_identical_to_body_run() {
-    let baseline = run(EnvelopeMode::Body, None, 1);
+    let baseline = run(EnvelopeMode::Body, None);
     assert!(baseline.ingested_reports > 200, "baseline must be a real run");
-    let fast = run(EnvelopeMode::Binary, None, 1);
+    let fast = run(EnvelopeMode::Binary, None);
     assert_eq!(fast.ingested_reports, baseline.ingested_reports);
     assert_eq!(fast.cached_reports, baseline.cached_reports);
     assert_eq!(
@@ -86,8 +81,8 @@ fn binary_run_is_byte_identical_to_body_run() {
 #[test]
 fn chaotic_binary_run_converges_to_the_fault_free_body_run() {
     let (start, _) = horizon();
-    let baseline = run(EnvelopeMode::Body, None, 1);
-    let chaotic = run(EnvelopeMode::Binary, Some(chaos_schedule(start)), 1);
+    let baseline = run(EnvelopeMode::Body, None);
+    let chaotic = run(EnvelopeMode::Binary, Some(chaos_schedule(start)));
     // The chaos actually bit on the fast path too.
     assert!(chaotic.retries > 0, "fault schedule must force retries");
     assert!(chaotic.duplicates > 0, "lost acks must produce absorbed duplicates");
@@ -97,18 +92,4 @@ fn chaotic_binary_run_converges_to_the_fault_free_body_run() {
         chaotic.cache_document, baseline.cache_document,
         "chaotic binary-envelope cache must converge to the fault-free XML-envelope cache"
     );
-}
-
-#[test]
-fn rope_backend_is_deterministic_across_thread_counts() {
-    let (start, _) = horizon();
-    let sequential = run(EnvelopeMode::Binary, Some(chaos_schedule(start)), 1);
-    for threads in [2usize, 8] {
-        let parallel = run(EnvelopeMode::Binary, Some(chaos_schedule(start)), threads);
-        assert_eq!(
-            sequential.cache_document, parallel.cache_document,
-            "rope cache diverged at {threads} threads"
-        );
-        assert_eq!(sequential.ingested_reports, parallel.ingested_reports);
-    }
 }

@@ -1,7 +1,7 @@
 //! A promtool-style lint for the Prometheus text exposition format.
 //!
 //! [`lint_exposition`] checks the output of
-//! [`MetricsRegistry::render`](crate::metrics::MetricsRegistry::render)
+//! `inca_obs::metrics::MetricsRegistry::render`
 //! (or any exposition text) against the rules an actual scrape
 //! pipeline would enforce: `# HELP` / `# TYPE` ordering, valid metric
 //! and label names, parseable sample values, and — for histograms —
