@@ -885,6 +885,43 @@ mod tests {
     }
 
     #[test]
+    fn oversize_report_at_the_spool_head_is_rejected_not_retried() {
+        use crate::forwarder::TcpTransport;
+        use inca_wire::frame::{read_frame, write_frame, MAX_FRAME_LEN};
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Acks every frame it reads and reports how many it read.
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut frames = 0;
+            while read_frame(&mut stream).is_ok() {
+                frames += 1;
+                write_frame(&mut stream, &ServerResponse::Ack.encode()).unwrap();
+            }
+            frames
+        });
+        let spec = spec_with(Vec::new());
+        let mut daemon = DistributedController::new(spec, Box::new(TcpTransport::new(addr)), 7);
+        daemon.set_deferred_delivery(true);
+        let report = inca_report::ReportBuilder::new("version.globus", "1").success().unwrap();
+        let mut big = ClientMessage::report("host.sdsc.edu", branch_for("version.globus"), &report);
+        big.report_xml = "x".repeat(MAX_FRAME_LEN);
+        let small = ClientMessage::report("host.sdsc.edu", branch_for("version.gcc"), &report);
+        let t = Timestamp::from_gmt(2004, 7, 7, 0, 0, 0);
+        daemon.forward(big, t);
+        daemon.forward(small, t);
+        assert_eq!(daemon.spool().depth(), 2);
+        daemon.deliver_pending(t);
+        // The oversize head is dropped as a permanent rejection, and the
+        // report behind it is delivered in the same drain.
+        assert!(daemon.spool().is_empty());
+        assert_eq!(daemon.stats().forward_errors, 1);
+        drop(daemon);
+        assert_eq!(server.join().unwrap(), 1, "only the small report was sent");
+    }
+
+    #[test]
     fn restart_mid_spool_preserves_queued_reports_and_seq() {
         struct Dead;
         impl Transport for Dead {

@@ -19,7 +19,7 @@ use std::time::Duration;
 use inca_obs::metrics::{Counter, Gauge};
 use inca_obs::Obs;
 use inca_report::BranchId;
-use inca_wire::frame::{read_frame, write_frame, FrameError};
+use inca_wire::frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
 use inca_wire::message::{ClientMessage, ServerResponse};
 
 use crate::spool::{Spool, SpoolConfig};
@@ -154,16 +154,41 @@ impl Transport for TcpTransport {
         self.send_many(&[message]).pop().expect("one result per message")
     }
 
+    /// A message whose frame would exceed [`MAX_FRAME_LEN`] is not
+    /// sent: it is answered locally with the `Rejected("frame too
+    /// large")` the server would send, so the spool drops it instead
+    /// of retrying it forever ahead of every later report.
     fn send_many(&self, messages: &[&ClientMessage]) -> Vec<Result<ServerResponse, String>> {
-        let payloads: Vec<Vec<u8>> = messages.iter().map(|m| m.encode()).collect();
-        let results = self.send_many_once(&payloads);
-        if results.iter().all(|r| r.is_ok()) {
-            return results;
+        let mut too_large = Vec::with_capacity(messages.len());
+        let mut payloads = Vec::with_capacity(messages.len());
+        for message in messages {
+            let payload = message.encode();
+            too_large.push(payload.len() > MAX_FRAME_LEN);
+            if payload.len() <= MAX_FRAME_LEN {
+                payloads.push(payload);
+            }
         }
-        // One whole-burst retry after reconnect, as a long-lived daemon
-        // would; the server's seq dedup makes re-sending acked messages
-        // harmless.
-        self.send_many_once(&payloads)
+        let mut results = Vec::new();
+        if !payloads.is_empty() {
+            results = self.send_many_once(&payloads);
+            if !results.iter().all(|r| r.is_ok()) {
+                // One whole-burst retry after reconnect, as a long-lived
+                // daemon would; the server's seq dedup makes re-sending
+                // acked messages harmless.
+                results = self.send_many_once(&payloads);
+            }
+        }
+        let mut sent = results.into_iter();
+        too_large
+            .into_iter()
+            .map(|refused| {
+                if refused {
+                    Ok(ServerResponse::Rejected("frame too large".into()))
+                } else {
+                    sent.next().expect("one result per sent payload")
+                }
+            })
+            .collect()
     }
 }
 
@@ -473,6 +498,40 @@ mod tests {
         assert_eq!(results.len(), 5);
         assert!(results.iter().all(|r| r.as_ref().unwrap() == &ServerResponse::Ack));
         server.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_send_many_answers_an_oversize_message_without_sending_it() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // The server acks the two frames it is sent; a third read would
+        // block until the client hangs up.
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            for _ in 0..2 {
+                read_frame(&mut stream).unwrap();
+            }
+            for _ in 0..2 {
+                write_frame(&mut stream, &ServerResponse::Ack.encode()).unwrap();
+            }
+            matches!(read_frame(&mut stream), Err(FrameError::Closed))
+        });
+        let t = TcpTransport::new(addr);
+        let mut big = message();
+        big.report_xml = "x".repeat(MAX_FRAME_LEN);
+        let (a, b) = (message(), message());
+        let results = t.send_many(&[&a, &big, &b]);
+        assert_eq!(
+            results,
+            vec![
+                Ok(ServerResponse::Ack),
+                Ok(ServerResponse::Rejected("frame too large".into())),
+                Ok(ServerResponse::Ack),
+            ]
+        );
+        drop(t);
+        assert!(server.join().unwrap(), "the oversize message never reached the server");
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 use std::io::Cursor;
 
 use inca_wire::binframe::{put_section, SectionReader};
-use inca_wire::frame::{read_frame, write_frame, FrameError};
+use inca_wire::frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
 use inca_wire::message::ClientMessage;
 use inca_xml::{escape::escape_text, Element};
 
@@ -291,6 +291,10 @@ impl Spool {
     /// the message bytes are spliced without an XML head per entry.
     /// Backoff deadlines are *not* persisted: a restored spool retries
     /// immediately, which is what a freshly restarted daemon should do.
+    /// An entry whose frame would exceed [`MAX_FRAME_LEN`] is left out,
+    /// because no frame that large can be read back; its message is
+    /// within 27 bytes of that cap or over it, where the transport
+    /// refuses it anyway.
     pub fn dump(&self) -> Vec<u8> {
         let mut out = Vec::new();
         let meta = format!(
@@ -305,7 +309,9 @@ impl Spool {
             put_section(&mut body, SECTION_SEQ, &entry.seq.to_be_bytes());
             put_section(&mut body, SECTION_ATTEMPTS, &entry.attempts.to_be_bytes());
             put_section(&mut body, SECTION_MESSAGE, &entry.message.encode());
-            write_frame(&mut out, &body).expect("vec write cannot fail");
+            if body.len() <= MAX_FRAME_LEN {
+                write_frame(&mut out, &body).expect("vec write cannot fail");
+            }
         }
         out
     }
@@ -512,6 +518,18 @@ mod tests {
         assert_eq!(due[0].attempts, 1);
         assert_eq!(due[0].not_before, 0);
         assert_eq!(due[0].message, s.due_prefix(u64::MAX, true)[0].message);
+    }
+
+    #[test]
+    fn dump_leaves_out_an_entry_too_large_to_frame() {
+        let mut s = spool();
+        let mut big = message(1);
+        big.report_xml = "x".repeat(MAX_FRAME_LEN);
+        s.enqueue(big);
+        let small = s.enqueue(message(2));
+        let restored = Spool::restore(&s.dump(), s.config()).unwrap();
+        let seqs: Vec<u64> = restored.due_prefix(0, false).iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![small]);
     }
 
     #[test]

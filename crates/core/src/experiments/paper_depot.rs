@@ -12,8 +12,8 @@
 
 use std::time::{Duration, Instant};
 
-use inca_paper::{XmlCache, XmlCacheError};
-use inca_server::{CacheError, DepotError, DepotTiming};
+use inca_paper::XmlCache;
+use inca_server::{DepotError, DepotTiming};
 use inca_wire::envelope::Envelope;
 
 use crate::stats::ResponseStats;
@@ -39,9 +39,7 @@ impl PaperDepot {
         let envelope = Envelope::decode(envelope_bytes)?;
         let unpack = started.elapsed();
         let started = Instant::now();
-        self.cache
-            .update(&envelope.address, &envelope.report_xml)
-            .map_err(|XmlCacheError::Corrupt(m)| DepotError::Cache(CacheError::Corrupt(m)))?;
+        self.cache.update(&envelope.address, &envelope.report_xml)?;
         let timing = DepotTiming {
             unpack,
             insert: started.elapsed(),

@@ -22,36 +22,12 @@
 //! the cache a depot runs on: it wants to be obviously correct, not
 //! fast.
 
-use std::fmt;
-
+use inca_report::cache::{branch_of, element_end, CacheError};
 use inca_report::BranchId;
-use inca_xml::{escape::escape_attr, Token, Tokenizer, XmlError};
+use inca_xml::{escape::escape_attr, Token, Tokenizer};
 
-/// Errors from cache operations.
-#[derive(Debug, Clone, PartialEq)]
-pub enum XmlCacheError {
-    /// The cache document itself failed to parse (corruption).
-    Corrupt(String),
-}
-
-impl fmt::Display for XmlCacheError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            XmlCacheError::Corrupt(m) => write!(f, "cache corrupt: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for XmlCacheError {}
-
-impl From<XmlError> for XmlCacheError {
-    fn from(e: XmlError) -> Self {
-        XmlCacheError::Corrupt(e.to_string())
-    }
-}
-
-fn corrupt(message: &str) -> XmlCacheError {
-    XmlCacheError::Corrupt(message.into())
+fn corrupt(message: &str) -> CacheError {
+    CacheError::Corrupt(message.into())
 }
 
 /// Where an update must touch the document.
@@ -114,7 +90,7 @@ impl XmlCache {
     /// persisted before siblings were placed canonically) is refused
     /// rather than restored into a cache whose updates would duplicate
     /// branches.
-    pub fn from_document(doc: String) -> Result<XmlCache, XmlCacheError> {
+    pub fn from_document(doc: String) -> Result<XmlCache, CacheError> {
         let mut report_count = 0;
         walk(&doc, &mut |path, _| {
             branch_of(path)?;
@@ -148,7 +124,7 @@ impl XmlCache {
     /// existing ancestor level (see `find_splice`) — and rebuilds the
     /// string around it. The report XML is spliced verbatim (it was
     /// validated upstream by the envelope decode).
-    pub fn update(&mut self, branch: &BranchId, report_xml: &str) -> Result<(), XmlCacheError> {
+    pub fn update(&mut self, branch: &BranchId, report_xml: &str) -> Result<(), CacheError> {
         self.insert_batch(&[(branch, report_xml)])
     }
 
@@ -156,7 +132,7 @@ impl XmlCache {
     /// and one generation bump (none for an empty batch). A branch
     /// named twice holds its last content. On error (a corrupt
     /// document) the cache is left untouched.
-    pub fn insert_batch(&mut self, items: &[(&BranchId, &str)]) -> Result<(), XmlCacheError> {
+    pub fn insert_batch(&mut self, items: &[(&BranchId, &str)]) -> Result<(), CacheError> {
         let Some(((branch, xml), rest)) = items.split_first() else {
             return Ok(());
         };
@@ -182,7 +158,7 @@ impl XmlCache {
     /// level with every report below it — "this can either be a single
     /// report, a set of related reports, or a specific portion of a
     /// report" (§3.2.3). Streams until the queried level closes.
-    pub fn subtree(&self, query: &BranchId) -> Result<Option<String>, XmlCacheError> {
+    pub fn subtree(&self, query: &BranchId) -> Result<Option<String>, CacheError> {
         let hierarchy: Vec<(&str, &str)> = query.hierarchy().collect();
         let mut tok = Tokenizer::new(&self.doc);
         expect_root(&mut tok)?;
@@ -200,15 +176,15 @@ impl XmlCache {
                     if !self_closing && want.is_some_and(|(n, v)| pair == (Some(n), Some(v))) {
                         matched += 1;
                         if matched == hierarchy.len() {
-                            let end = skip_subtree(&mut tok, "branch")?;
+                            let end = element_end(&mut tok, "branch")?;
                             return Ok(Some(self.doc[pre..end].to_string()));
                         }
                     } else if !self_closing {
-                        skip_subtree(&mut tok, "branch")?;
+                        element_end(&mut tok, "branch")?;
                     }
                 }
                 Token::StartTag { name, self_closing: false, .. } => {
-                    skip_subtree(&mut tok, name)?;
+                    element_end(&mut tok, name)?;
                 }
                 Token::EndTag { name: "branch" } | Token::EndTag { name: "incaCache" } => {
                     // Either a matched level closed without the target
@@ -225,7 +201,7 @@ impl XmlCache {
     /// suffix `query` (or all reports when `query` is `None`). Used by
     /// data consumers. The `visit_reports` walk with every visit
     /// copied out.
-    pub fn reports(&self, query: Option<&BranchId>) -> Result<Vec<(BranchId, String)>, XmlCacheError> {
+    pub fn reports(&self, query: Option<&BranchId>) -> Result<Vec<(BranchId, String)>, CacheError> {
         let mut out = Vec::new();
         self.visit_reports(query, &mut |path, xml| {
             out.push((branch_of(path)?, xml.to_string()));
@@ -245,9 +221,9 @@ impl XmlCache {
         &'a self,
         query: Option<&BranchId>,
         visit: &mut F,
-    ) -> Result<(), XmlCacheError>
+    ) -> Result<(), CacheError>
     where
-        F: FnMut(&[(&str, &str)], &'a str) -> Result<(), XmlCacheError>,
+        F: FnMut(&[(&str, &str)], &'a str) -> Result<(), CacheError>,
     {
         let prefix: Vec<(&str, &str)> = query.map(|q| q.hierarchy().collect()).unwrap_or_default();
         walk(&self.doc, &mut |path, xml| {
@@ -273,7 +249,7 @@ impl XmlCache {
 
 /// `doc` with `report_xml` stored at `branch`, and whether that added
 /// a report (`false`: it replaced one).
-fn spliced(doc: &str, branch: &BranchId, report_xml: &str) -> Result<(String, bool), XmlCacheError> {
+fn spliced(doc: &str, branch: &BranchId, report_xml: &str) -> Result<(String, bool), CacheError> {
     let hierarchy: Vec<(&str, &str)> = branch.hierarchy().collect();
     let mut out = String::with_capacity(doc.len() + report_xml.len() + 128);
     match find_splice(doc, &hierarchy)? {
@@ -310,7 +286,7 @@ fn spliced(doc: &str, branch: &BranchId, report_xml: &str) -> Result<(String, bo
 /// render byte-identical documents no matter what order the reports
 /// arrived in (the property the delivery-chaos tests and the rope's
 /// byte-identity rest on).
-fn find_splice(doc: &str, hierarchy: &[(&str, &str)]) -> Result<Splice, XmlCacheError> {
+fn find_splice(doc: &str, hierarchy: &[(&str, &str)]) -> Result<Splice, CacheError> {
     let mut tok = Tokenizer::new(doc);
     expect_root(&mut tok)?;
     let mut matched = 0usize;
@@ -337,14 +313,14 @@ fn find_splice(doc: &str, hierarchy: &[(&str, &str)]) -> Result<Splice, XmlCache
                             }
                         }
                         if !self_closing {
-                            skip_subtree(&mut tok, "branch")?;
+                            element_end(&mut tok, "branch")?;
                         }
                     }
                 }
             }
             Token::StartTag { name: "incaReport", self_closing, .. } => {
                 let end =
-                    if self_closing { tok.offset() } else { skip_subtree(&mut tok, "incaReport")? };
+                    if self_closing { tok.offset() } else { element_end(&mut tok, "incaReport")? };
                 if matched == hierarchy.len() {
                     return Ok(Splice::Replace { start: pre, end });
                 }
@@ -357,7 +333,7 @@ fn find_splice(doc: &str, hierarchy: &[(&str, &str)]) -> Result<Splice, XmlCache
             }
             // Unknown element (future cache extensions): skip.
             Token::StartTag { name, self_closing: false, .. } => {
-                skip_subtree(&mut tok, name)?;
+                element_end(&mut tok, name)?;
             }
             _ => {}
         }
@@ -377,9 +353,9 @@ struct Level {
 /// Streams the whole document, calling `visit(path, report_xml)` for
 /// every report in document order (`path` general-first), and fails on
 /// anything [`XmlCache::from_document`] promises to reject.
-fn walk<'a, F>(doc: &'a str, visit: &mut F) -> Result<(), XmlCacheError>
+fn walk<'a, F>(doc: &'a str, visit: &mut F) -> Result<(), CacheError>
 where
-    F: FnMut(&[(&str, &str)], &'a str) -> Result<(), XmlCacheError>,
+    F: FnMut(&[(&str, &str)], &'a str) -> Result<(), CacheError>,
 {
     let mut tok = Tokenizer::new(doc);
     expect_root(&mut tok)?;
@@ -425,7 +401,7 @@ where
                 }
                 level.has_report = true;
                 let end =
-                    if self_closing { tok.offset() } else { skip_subtree(&mut tok, "incaReport")? };
+                    if self_closing { tok.offset() } else { element_end(&mut tok, "incaReport")? };
                 let path: Vec<(&str, &str)> =
                     open[1..].iter().map(|l| (l.name.as_str(), l.id.as_str())).collect();
                 visit(&path, &doc[pre..end])?;
@@ -435,50 +411,23 @@ where
             }
             // Unknown element (future cache extensions): skip.
             Token::StartTag { name, self_closing: false, .. } => {
-                skip_subtree(&mut tok, name)?;
+                element_end(&mut tok, name)?;
             }
             _ => {}
         }
     }
 }
 
-/// The branch identifier of a general-first walk path (identifiers
-/// read specific-first).
-fn branch_of(path: &[(&str, &str)]) -> Result<BranchId, XmlCacheError> {
-    BranchId::new(path.iter().rev().copied()).map_err(|e| XmlCacheError::Corrupt(e.to_string()))
-}
-
 /// Consumes the `<incaCache>` start tag.
-fn expect_root(tok: &mut Tokenizer<'_>) -> Result<(), XmlCacheError> {
+fn expect_root(tok: &mut Tokenizer<'_>) -> Result<(), CacheError> {
     match tok.next_token()? {
         Some(Token::StartTag { name: "incaCache", self_closing: false, .. }) => Ok(()),
-        other => Err(XmlCacheError::Corrupt(format!("bad root: {other:?}"))),
+        other => Err(CacheError::Corrupt(format!("bad root: {other:?}"))),
     }
 }
 
 fn attr<'a>(attrs: &'a [inca_xml::Attribute<'a>], name: &str) -> Option<&'a str> {
     attrs.iter().find(|a| a.name == name).map(|a| a.value.as_ref())
-}
-
-/// Consumes tokens until the already-opened element `name` closes;
-/// returns the byte offset just past its end tag.
-fn skip_subtree(tok: &mut Tokenizer<'_>, name: &str) -> Result<usize, XmlCacheError> {
-    let mut depth = 1usize;
-    loop {
-        let token = tok
-            .next_token()?
-            .ok_or_else(|| XmlCacheError::Corrupt(format!("<{name}> never closes")))?;
-        match token {
-            Token::StartTag { self_closing: false, .. } => depth += 1,
-            Token::EndTag { .. } => {
-                depth -= 1;
-                if depth == 0 {
-                    return Ok(tok.offset());
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -746,13 +695,13 @@ mod tests {
                    </branch></incaCache>";
         assert!(matches!(
             XmlCache::from_document(dup.to_string()),
-            Err(XmlCacheError::Corrupt(_))
+            Err(CacheError::Corrupt(_))
         ));
         let dup_branch = "<incaCache><branch name=\"vo\" id=\"tg\"></branch>\
                           <branch name=\"vo\" id=\"tg\"></branch></incaCache>";
         assert!(matches!(
             XmlCache::from_document(dup_branch.to_string()),
-            Err(XmlCacheError::Corrupt(_))
+            Err(CacheError::Corrupt(_))
         ));
     }
 
@@ -785,7 +734,7 @@ mod tests {
         ];
         for (what, doc) in cases {
             assert!(
-                matches!(XmlCache::from_document(doc.to_string()), Err(XmlCacheError::Corrupt(_))),
+                matches!(XmlCache::from_document(doc.to_string()), Err(CacheError::Corrupt(_))),
                 "{what} must be rejected"
             );
         }

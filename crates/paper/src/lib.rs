@@ -20,4 +20,4 @@ pub mod depot {
     pub mod cache;
 }
 
-pub use depot::cache::{XmlCache, XmlCacheError};
+pub use depot::cache::XmlCache;

@@ -17,6 +17,9 @@
 //! list of `name=value` pairs similar to an LDAP distinguished name —
 //! which tells the depot where in its cache the report lives.
 //!
+//! The depot's cache document nests reports by that identifier;
+//! [`cache`] holds what its two caches share.
+//!
 //! [`builder::ReportBuilder`] is the analog of the paper's Perl/Python
 //! reporter APIs: it keeps reporters small by handling all the
 //! spec-compliance boilerplate.
@@ -24,6 +27,7 @@
 pub mod body;
 pub mod branch;
 pub mod builder;
+pub mod cache;
 pub mod footer;
 pub mod header;
 pub mod report;

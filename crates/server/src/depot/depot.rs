@@ -25,7 +25,8 @@ use inca_wire::message::WireError;
 
 use crate::depot::archive::{ArchiveRule, ArchiveStore};
 use crate::depot::memo::ParsedMemo;
-use crate::depot::rope::{branch_of, CacheError, RopeCache};
+use crate::depot::rope::RopeCache;
+use inca_report::cache::{branch_of, CacheError};
 
 /// Parsed reports with their branches, in cache order.
 type ParsedReports = Vec<(BranchId, Arc<Report>)>;

@@ -33,50 +33,18 @@
 //! reads render or borrow only what they return.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
+use inca_report::cache::{branch_of, element_end, CacheError};
 use inca_report::BranchId;
 use inca_xml::escape::escape_attr;
-use inca_xml::{Token, Tokenizer, XmlError};
+use inca_xml::{Token, Tokenizer};
 
 const ROOT_OPEN: &str = "<incaCache>";
 const ROOT_CLOSE: &str = "</incaCache>";
 const BRANCH_CLOSE: &str = "</branch>";
 
-/// Errors from cache reads and from loading a persisted document.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CacheError {
-    /// The cache document, or a report read from it, is corrupt.
-    Corrupt(String),
-}
-
-impl fmt::Display for CacheError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CacheError::Corrupt(m) => write!(f, "cache corrupt: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for CacheError {}
-
-impl From<XmlError> for CacheError {
-    fn from(e: XmlError) -> Self {
-        CacheError::Corrupt(e.to_string())
-    }
-}
-
 fn corrupt(message: impl Into<String>) -> CacheError {
     CacheError::Corrupt(message.into())
-}
-
-/// The branch identifier of a general-first walk path (identifiers
-/// read specific-first).
-pub(crate) fn branch_of<N: AsRef<str>, V: AsRef<str>>(
-    path: &[(N, V)],
-) -> Result<BranchId, CacheError> {
-    BranchId::new(path.iter().rev().map(|(n, v)| (n.as_ref(), v.as_ref())))
-        .map_err(|e| corrupt(e.to_string()))
 }
 
 /// Arenas smaller than this are never compacted — the garbage is not
@@ -188,7 +156,8 @@ impl RopeCache {
                     path.pop().ok_or_else(|| corrupt("unbalanced </branch>"))?;
                 }
                 Token::StartTag { name: "incaReport", self_closing, .. } => {
-                    let end = if self_closing { tok.offset() } else { report_end(&mut tok)? };
+                    let end =
+                        if self_closing { tok.offset() } else { element_end(&mut tok, "incaReport")? };
                     rope.insert(&branch_of(&path)?, &doc[start..end]);
                 }
                 Token::EndTag { name: "incaCache" } if path.is_empty() => break,
@@ -471,20 +440,6 @@ impl RopeCache {
         let (start, end) = self.node_at(branch)?.report?;
         Some(&self.arena[start..end])
     }
-}
-
-/// Consumes tokens until the `<incaReport>` just opened closes; returns
-/// the offset just past its end tag.
-fn report_end(tok: &mut Tokenizer<'_>) -> Result<usize, CacheError> {
-    let mut depth = 1usize;
-    while depth > 0 {
-        match tok.next_token()?.ok_or_else(|| corrupt("<incaReport> never closes"))? {
-            Token::StartTag { self_closing: false, .. } => depth += 1,
-            Token::EndTag { .. } => depth -= 1,
-            _ => {}
-        }
-    }
-    Ok(tok.offset())
 }
 
 /// Every live span under `node` (open tags and reports), in tree order.

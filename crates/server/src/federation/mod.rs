@@ -43,7 +43,7 @@ use inca_wire::message::{ClientMessage, ServerResponse};
 
 use crate::controller::{CentralizedController, ControllerConfig, DecodedSubmission};
 use crate::depot::archive::ArchiveRule;
-use crate::depot::rope::CacheError;
+use inca_report::cache::CacheError;
 use crate::depot::depot::{Depot, DepotTiming};
 use crate::query::QueryInterface;
 

@@ -53,7 +53,8 @@ pub use controller::{CentralizedController, ControllerConfig, DecodedSubmission}
 pub use dedup::{DedupIndex, DEFAULT_DEDUP_WINDOW};
 pub use depot::archive::{ArchiveRule, ArchiveStore};
 pub use depot::depot::{CacheBackend, CacheRef, Depot, DepotError, DepotTiming};
-pub use depot::rope::{CacheError, RopeCache};
+pub use depot::rope::RopeCache;
+pub use inca_report::cache::CacheError;
 pub use federation::{
     rollup_branch, rollup_rule, rollup_series_prefix, routing_key, Federation,
     FederationConfig, PartitionMap,

@@ -13,7 +13,7 @@ use inca_obs::metrics::{Histogram, DEFAULT_LATENCY_BOUNDS};
 use inca_report::{BranchId, Report, Timestamp};
 use inca_rrd::{ConsolidationFn, GraphSeries};
 
-use crate::depot::rope::CacheError;
+use inca_report::cache::CacheError;
 use crate::depot::depot::Depot;
 use crate::depot::rope::RopeCache;
 use crate::temporal::TemporalQuery;

@@ -26,7 +26,7 @@ use inca_obs::{StoredEvent, TraceStore};
 use inca_report::{BranchId, Report, Timestamp};
 use inca_rrd::{ConsolidationFn, GraphSeries};
 
-use crate::depot::rope::CacheError;
+use inca_report::cache::CacheError;
 use crate::depot::depot::Depot;
 
 /// Summary of one series over one time window: the "resource X's

@@ -7,19 +7,18 @@
 # Each revision is exported with `git archive` into its own directory,
 # and its benchmark/ is built there into its own target directory; the
 # repository's own benchmark/ is never written. For every workload the
-# declared command (BENCHMARK.json's `command` plus `--workload W --seed
-# 11 --seconds <run_seconds> --trace 0 --out <dir>`) runs in <pairs>
-# parent/change pairs, alternating which side goes first, all from one
-# shared --out directory (so sim_week's digest check compares the two
-# sides). It then prints, per end-to-end metric, both medians, the
+# declared command (the parent's BENCHMARK.json: its `command` plus
+# `--workload W --seed 11 --seconds <run_seconds> --trace 0 --out <dir>`)
+# runs in <pairs> parent/change pairs, alternating which side goes
+# first, all from one shared --out directory (so sim_week's digest check
+# compares the two sides). Each run's result file is deleted before it
+# starts, so a run that dies early is never read as another run's. It then prints, per end-to-end metric, both medians, the
 # parent's quartiles, the change's win count and the bound verdict, and
 # every run whose result read `correct: false`, with its problem text.
 #
 # Environment: GATE_DIR (default target/gate_rehearsal) holds the
-# exports, builds and run logs; WORKLOADS (space-separated) restricts
-# the workloads; GATE_SECONDS overrides run_seconds (for a quick trial of
-# the script only: the gate runs run_seconds). The script adds a tool;
-# it changes no check.
+# exports, builds and run logs. The script adds a tool; it changes no
+# check.
 set -e
 if [ $# -lt 2 ]; then
   echo "usage: $0 <parent> <change> [pairs=10]" >&2
@@ -48,9 +47,9 @@ exec python3 - "$dir" "$pairs" "$parent" "$change" <<'EOF'
 import json, os, statistics, subprocess, sys
 
 dir, pairs, parent, change = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
-bench = json.load(open(os.path.join(dir, "change", "BENCHMARK.json")))
-seconds = int(os.environ.get("GATE_SECONDS", bench["run_seconds"]))
-workloads = os.environ.get("WORKLOADS", "").split() or [w["name"] for w in bench["workloads"]]
+bench = json.load(open(os.path.join(dir, "parent", "BENCHMARK.json")))
+seconds = bench["run_seconds"]
+workloads = [w["name"] for w in bench["workloads"]]
 out = os.path.join(dir, "out")
 os.makedirs(out, exist_ok=True)
 
@@ -60,6 +59,9 @@ def run(side, workload, index):
                               str(seconds), "--trace", "0", "--out", out]
     env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(dir, side + "-target"))
     log = os.path.join(dir, f"{workload}.{side}.{index}.stderr")
+    detail_path = os.path.join(out, f"{workload}.untraced.json")
+    if os.path.exists(detail_path):
+        os.remove(detail_path)
     with open(log, "w") as err:
         proc = subprocess.run(cmd, cwd=os.path.join(dir, side), env=env,
                               stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=err, text=True)
@@ -67,7 +69,7 @@ def run(side, workload, index):
     result = json.loads(lines[-1]) if lines else {"correct": False, "attempted": 0,
                                                   "failed": 0, "metrics": {}}
     try:
-        detail = json.load(open(os.path.join(out, f"{workload}.untraced.json")))
+        detail = json.load(open(detail_path))
         result["problems"] = detail.get("problems", [])
     except (OSError, ValueError):
         result["problems"] = [f"no result file (exit {proc.returncode}, see {log})"]
