@@ -78,7 +78,10 @@ impl TcpTransport {
     /// trip of latency for the whole burst instead of one per message.
     /// Any failure poisons the connection and fails the rest of the
     /// burst (the spool retries; server-side seq dedup absorbs any
-    /// message that actually landed).
+    /// message that actually landed). A payload over [`MAX_FRAME_LEN`]
+    /// is not sent: it is answered with the `Rejected("frame too
+    /// large")` the server would send, so the spool drops it instead of
+    /// retrying it forever ahead of every later report.
     fn send_many_once(&self, payloads: &[Vec<u8>]) -> Vec<Result<ServerResponse, String>> {
         let mut guard = self.stream.lock().expect("transport mutex");
         let mut results: Vec<Result<ServerResponse, String>> = Vec::with_capacity(payloads.len());
@@ -107,14 +110,19 @@ impl TcpTransport {
             }
         }
         let stream = guard.as_mut().expect("just connected");
-        for payload in payloads {
+        let fits = |payload: &&Vec<u8>| payload.len() <= MAX_FRAME_LEN;
+        for payload in payloads.iter().filter(fits) {
             if let Err(e) = write_frame(stream, payload) {
                 *guard = None;
                 fail_rest(&mut results, payloads.len(), format!("send: {e}"));
                 return results;
             }
         }
-        for _ in 0..payloads.len() {
+        for payload in payloads {
+            if !fits(&payload) {
+                results.push(Ok(ServerResponse::Rejected("frame too large".into())));
+                continue;
+            }
             match read_frame(stream) {
                 Ok(reply) => match ServerResponse::decode(&reply) {
                     Ok(response) => results.push(Ok(response)),
@@ -154,41 +162,16 @@ impl Transport for TcpTransport {
         self.send_many(&[message]).pop().expect("one result per message")
     }
 
-    /// A message whose frame would exceed [`MAX_FRAME_LEN`] is not
-    /// sent: it is answered locally with the `Rejected("frame too
-    /// large")` the server would send, so the spool drops it instead
-    /// of retrying it forever ahead of every later report.
     fn send_many(&self, messages: &[&ClientMessage]) -> Vec<Result<ServerResponse, String>> {
-        let mut too_large = Vec::with_capacity(messages.len());
-        let mut payloads = Vec::with_capacity(messages.len());
-        for message in messages {
-            let payload = message.encode();
-            too_large.push(payload.len() > MAX_FRAME_LEN);
-            if payload.len() <= MAX_FRAME_LEN {
-                payloads.push(payload);
-            }
+        let payloads: Vec<Vec<u8>> = messages.iter().map(|m| m.encode()).collect();
+        let results = self.send_many_once(&payloads);
+        if results.iter().all(|r| r.is_ok()) {
+            return results;
         }
-        let mut results = Vec::new();
-        if !payloads.is_empty() {
-            results = self.send_many_once(&payloads);
-            if !results.iter().all(|r| r.is_ok()) {
-                // One whole-burst retry after reconnect, as a long-lived
-                // daemon would; the server's seq dedup makes re-sending
-                // acked messages harmless.
-                results = self.send_many_once(&payloads);
-            }
-        }
-        let mut sent = results.into_iter();
-        too_large
-            .into_iter()
-            .map(|refused| {
-                if refused {
-                    Ok(ServerResponse::Rejected("frame too large".into()))
-                } else {
-                    sent.next().expect("one result per sent payload")
-                }
-            })
-            .collect()
+        // One whole-burst retry after reconnect, as a long-lived daemon
+        // would; the server's seq dedup makes re-sending acked messages
+        // harmless.
+        self.send_many_once(&payloads)
     }
 }
 
@@ -493,45 +476,17 @@ mod tests {
         });
         let t = TcpTransport::new(addr);
         let msgs: Vec<ClientMessage> = (0..5).map(|_| message()).collect();
-        let refs: Vec<&ClientMessage> = msgs.iter().collect();
-        let results = t.send_many(&refs);
-        assert_eq!(results.len(), 5);
-        assert!(results.iter().all(|r| r.as_ref().unwrap() == &ServerResponse::Ack));
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn tcp_send_many_answers_an_oversize_message_without_sending_it() {
-        use std::net::TcpListener;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        // The server acks the two frames it is sent; a third read would
-        // block until the client hangs up.
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            for _ in 0..2 {
-                read_frame(&mut stream).unwrap();
-            }
-            for _ in 0..2 {
-                write_frame(&mut stream, &ServerResponse::Ack.encode()).unwrap();
-            }
-            matches!(read_frame(&mut stream), Err(FrameError::Closed))
-        });
-        let t = TcpTransport::new(addr);
+        let mut refs: Vec<&ClientMessage> = msgs.iter().collect();
+        // A message too large to frame is answered in its place without
+        // being sent, so the server still reads exactly five frames.
         let mut big = message();
         big.report_xml = "x".repeat(MAX_FRAME_LEN);
-        let (a, b) = (message(), message());
-        let results = t.send_many(&[&a, &big, &b]);
-        assert_eq!(
-            results,
-            vec![
-                Ok(ServerResponse::Ack),
-                Ok(ServerResponse::Rejected("frame too large".into())),
-                Ok(ServerResponse::Ack),
-            ]
-        );
-        drop(t);
-        assert!(server.join().unwrap(), "the oversize message never reached the server");
+        refs.insert(2, &big);
+        let mut results = t.send_many(&refs);
+        assert_eq!(results.len(), 6);
+        assert_eq!(results.remove(2), Ok(ServerResponse::Rejected("frame too large".into())));
+        assert!(results.iter().all(|r| r.as_ref().unwrap() == &ServerResponse::Ack));
+        server.join().unwrap();
     }
 
     #[test]

@@ -521,18 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn dump_leaves_out_an_entry_too_large_to_frame() {
-        let mut s = spool();
-        let mut big = message(1);
-        big.report_xml = "x".repeat(MAX_FRAME_LEN);
-        s.enqueue(big);
-        let small = s.enqueue(message(2));
-        let restored = Spool::restore(&s.dump(), s.config()).unwrap();
-        let seqs: Vec<u64> = restored.due_prefix(0, false).iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![small]);
-    }
-
-    #[test]
     fn restore_rejects_garbage_and_tampering() {
         assert!(Spool::restore(b"junk", SpoolConfig::default()).is_err());
         let mut s = spool();

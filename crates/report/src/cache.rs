@@ -1,12 +1,7 @@
-//! The depot's cache document, as both of its caches read it.
-//!
-//! A depot caches its reports in one XML document: an `<incaCache>`
-//! root nesting `<branch name="…" id="…">` levels, general component
-//! outermost, with each `<incaReport>` at its branch's innermost level.
-//! The production rope and the paper's streaming splice both read that
-//! document; this module holds what they share: the error a corrupt
-//! document raises, the branch identifier of a nesting path, and the
-//! skip over one element.
+//! What the depot's two caches share when they read the cache
+//! document: an `<incaCache>` root nesting `<branch name="…" id="…">`
+//! levels, general component outermost, with each `<incaReport>` at its
+//! branch's innermost level.
 
 use std::fmt;
 
@@ -59,28 +54,4 @@ pub fn element_end(tok: &mut Tokenizer<'_>, name: &str) -> Result<usize, CacheEr
         }
     }
     Ok(tok.offset())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn branch_of_reads_the_path_general_first() {
-        let branch = branch_of(&[("vo", "tg"), ("site", "sdsc")]).unwrap();
-        assert_eq!(branch.to_string(), "site=sdsc,vo=tg");
-        assert!(matches!(branch_of::<&str, &str>(&[]), Err(CacheError::Corrupt(_))));
-    }
-
-    #[test]
-    fn element_end_skips_nested_elements() {
-        let doc = "<a><b><c/></b>text</a><d/>";
-        let mut tok = Tokenizer::new(doc);
-        tok.next_token().unwrap();
-        assert_eq!(element_end(&mut tok, "a").unwrap(), "<a><b><c/></b>text</a>".len());
-        let mut open = Tokenizer::new("<a><b></b>");
-        open.next_token().unwrap();
-        let err = element_end(&mut open, "a");
-        assert!(matches!(err, Err(CacheError::Corrupt(m)) if m.contains("<a> never closes")));
-    }
 }

@@ -243,12 +243,6 @@ impl ArchiveStore {
         out
     }
 
-    /// Total successful series writes (rule ingests plus consumer
-    /// records) over the store's lifetime.
-    pub fn write_count(&self) -> u64 {
-        self.writes.get()
-    }
-
     /// Restores a store from [`ArchiveStore::dump`] output.
     pub fn restore(text: &str) -> Result<ArchiveStore, String> {
         let mut lines = text.lines().peekable();

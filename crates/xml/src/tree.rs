@@ -81,12 +81,6 @@ impl Element {
         self
     }
 
-    /// Builder-style: appends a text node and returns `self`.
-    pub fn text_node(mut self, text: impl Into<String>) -> Self {
-        self.children.push(Node::Text(text.into()));
-        self
-    }
-
     /// Appends a child element in place.
     pub fn push_child(&mut self, child: Element) {
         self.children.push(Node::Element(child));
@@ -144,11 +138,6 @@ impl Element {
     /// branch element to carry one so paths can address it).
     pub fn branch_id(&self) -> Option<String> {
         self.child_text("ID")
-    }
-
-    /// Whether the element has no child elements (text only / empty).
-    pub fn is_leaf(&self) -> bool {
-        self.child_elements().next().is_none()
     }
 
     /// Depth-first search for the first descendant (including self)
