@@ -27,5 +27,8 @@ pub mod version_req;
 
 pub use metrics::{grid_availability, CategorySummary, ComplianceSummary, ProbeObservation};
 pub use spec::{Agreement, Category, EnvVarRequirement, PackageRequirement};
-pub use verify::{verify_resource, ResourceVerification, TestResult};
+pub use verify::{
+    reports_by_reporter, verify_resource, Requirement, ReportsByReporter, ResourceVerification,
+    TestResult,
+};
 pub use version_req::{Version, VersionReq};

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use inca_report::{BranchId, Report};
 use inca_xml::resolve_steps;
 
-use crate::spec::{Agreement, Category};
+use crate::spec::{Agreement, Category, EnvVarRequirement, PackageRequirement};
 
 /// One verified requirement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,160 +76,247 @@ impl ResourceVerification {
     }
 }
 
-/// Verifies one resource's cached reports against the agreement.
-///
-/// `reports` are the cached `(branch, report)` pairs for this resource
-/// (as returned by the query interface). Reports are indexed by the
-/// reporter name in their headers; when several reports share a name
-/// the last one wins (the cache holds one per branch anyway). Owned
-/// and shared (`Arc<Report>`, as the depot's set reads return) reports
-/// verify alike.
-pub fn verify_resource<R: Borrow<Report>>(
-    agreement: &Agreement,
-    reports: &[(BranchId, R)],
-    resource: &str,
-) -> ResourceVerification {
-    let by_reporter: BTreeMap<&str, &Report> = reports
+/// The latest report of each reporter name, as verification reads
+/// them: reports are indexed by the reporter name in their headers, and
+/// when several share a name the last one in `reports` wins (the cache
+/// holds one per branch anyway).
+pub type ReportsByReporter<'r> = BTreeMap<&'r str, &'r Report>;
+
+/// Indexes `reports` by reporter name; see [`ReportsByReporter`].
+pub fn reports_by_reporter<R: Borrow<Report>>(reports: &[(BranchId, R)]) -> ReportsByReporter<'_> {
+    reports
         .iter()
         .map(|(_, r)| {
             let report: &Report = r.borrow();
             (report.header.reporter.as_str(), report)
         })
-        .collect();
-    let mut results = Vec::new();
+        .collect()
+}
 
-    // Package requirements: a version test plus any deployed unit tests.
-    for pkg in &agreement.packages {
-        let version_id = format!("{}-version", pkg.name);
-        match by_reporter.get(format!("version.{}", pkg.name).as_str()) {
-            None => results.push(TestResult::fail(
-                version_id,
-                pkg.category,
-                format!("no version data collected for {}", pkg.name),
-            )),
-            Some(report) if !report.is_success() => results.push(TestResult::fail(
-                version_id,
-                pkg.category,
-                report
-                    .footer
-                    .error_message
-                    .clone()
-                    .unwrap_or_else(|| "version reporter failed".into()),
-            )),
-            Some(report) => {
-                let found = resolve_steps(report.body.root(), &[("packageVersion", None)]);
-                match found.map(|e| e.text()) {
-                    Some(found) if pkg.version.matches_str(&found) => {
-                        results.push(TestResult::pass(version_id, pkg.category))
-                    }
-                    Some(found) => results.push(TestResult::fail(
-                        version_id,
-                        pkg.category,
-                        format!(
-                            "installed version {found} does not satisfy {}",
-                            pkg.version
-                        ),
-                    )),
+/// One requirement of an agreement as verification evaluates it: the
+/// unit that reads a fixed set of reporter names and yields its
+/// [`TestResult`]s. A consumer that knows which reporters' reports
+/// changed evaluates again only the requirements that
+/// [read](Requirement::reads) them.
+#[derive(Debug, Clone, Copy)]
+pub enum Requirement<'a> {
+    /// A package's version test (`version.<package>`).
+    Version(&'a PackageRequirement),
+    /// A package's deployed unit tests (`unit.<package>.<test>`), one
+    /// result per test reported.
+    UnitTests(&'a PackageRequirement),
+    /// The default user environment (`user.environment`), one result
+    /// per variable.
+    Environment(&'a [EnvVarRequirement]),
+    /// The SoftEnv keys (`cluster.admin.softenv.db`), one result per
+    /// key.
+    SoftEnv(&'a [String]),
+    /// One service's cross-site probe (`grid.services.<service>.probe`).
+    Service(&'a str),
+}
+
+impl Agreement {
+    /// The requirements in the order [`verify_resource`] lists their
+    /// results.
+    pub fn requirements(&self) -> impl Iterator<Item = Requirement<'_>> {
+        let packages = self.packages.iter().flat_map(|pkg| {
+            std::iter::once(Requirement::Version(pkg))
+                .chain(pkg.require_unit_tests.then_some(Requirement::UnitTests(pkg)))
+        });
+        packages
+            .chain([
+                Requirement::Environment(&self.env_vars),
+                Requirement::SoftEnv(&self.softenv_keys),
+            ])
+            .chain(self.services.iter().map(|svc| Requirement::Service(svc)))
+    }
+}
+
+impl Requirement<'_> {
+    /// The status-page category of every result this requirement
+    /// yields.
+    pub fn category(&self) -> Category {
+        match self {
+            Requirement::Version(pkg) | Requirement::UnitTests(pkg) => pkg.category,
+            Requirement::Environment(_) | Requirement::SoftEnv(_) => Category::Cluster,
+            Requirement::Service(_) => Category::Grid,
+        }
+    }
+
+    /// Whether [`Requirement::evaluate`] reads the report of
+    /// `reporter`: its result can change only when such a report does.
+    pub fn reads(&self, reporter: &str) -> bool {
+        match self {
+            Requirement::Version(pkg) => reporter.strip_prefix("version.") == Some(&pkg.name),
+            Requirement::UnitTests(pkg) => reporter
+                .strip_prefix("unit.")
+                .and_then(|rest| rest.strip_prefix(pkg.name.as_str()))
+                .is_some_and(|rest| rest.starts_with('.')),
+            Requirement::Environment(_) => reporter == "user.environment",
+            Requirement::SoftEnv(_) => reporter == "cluster.admin.softenv.db",
+            Requirement::Service(svc) => reporter
+                .strip_prefix("grid.services.")
+                .and_then(|rest| rest.strip_prefix(*svc))
+                == Some(".probe"),
+        }
+    }
+
+    /// Appends this requirement's results, judged on `by_reporter`.
+    pub fn evaluate(&self, by_reporter: &ReportsByReporter<'_>, results: &mut Vec<TestResult>) {
+        match *self {
+            Requirement::Version(pkg) => {
+                let version_id = format!("{}-version", pkg.name);
+                match by_reporter.get(format!("version.{}", pkg.name).as_str()) {
                     None => results.push(TestResult::fail(
                         version_id,
                         pkg.category,
-                        "version report carries no packageVersion".to_string(),
+                        format!("no version data collected for {}", pkg.name),
                     )),
-                }
-            }
-        }
-        if pkg.require_unit_tests {
-            let prefix = format!("unit.{}.", pkg.name);
-            for (name, report) in by_reporter.iter().filter(|(n, _)| n.starts_with(&prefix)) {
-                if report.is_success() {
-                    results.push(TestResult::pass(*name, pkg.category));
-                } else {
-                    results.push(TestResult::fail(
-                        *name,
+                    Some(report) if !report.is_success() => results.push(TestResult::fail(
+                        version_id,
                         pkg.category,
                         report
                             .footer
                             .error_message
                             .clone()
-                            .unwrap_or_else(|| "unit test failed".into()),
-                    ));
-                }
-            }
-        }
-    }
-
-    // Default user environment (reported under Cluster on the pages).
-    let env_report = by_reporter.get("user.environment");
-    for var in &agreement.env_vars {
-        let id = format!("env-{}", var.name);
-        match env_report {
-            None => results.push(TestResult::fail(id, Category::Cluster, "no environment data")),
-            Some(report) => {
-                // `value, var=<name>, environment`, root-first; the
-                // name trimmed as the written path form trims it.
-                let steps =
-                    [("environment", None), ("var", Some(var.name.trim())), ("value", None)];
-                match resolve_steps(report.body.root(), &steps).map(|e| e.text()) {
-                    None => results.push(TestResult::fail(
-                        id,
-                        Category::Cluster,
-                        format!("{} not set in default environment", var.name),
+                            .unwrap_or_else(|| "version reporter failed".into()),
                     )),
-                    Some(found) => match &var.expected {
-                        Some(want) if *want != found => results.push(TestResult::fail(
-                            id,
-                            Category::Cluster,
-                            format!("{}={found}, agreement requires {want}", var.name),
-                        )),
-                        _ => results.push(TestResult::pass(id, Category::Cluster)),
-                    },
+                    Some(report) => {
+                        let found = resolve_steps(report.body.root(), &[("packageVersion", None)]);
+                        match found.map(|e| e.text()) {
+                            Some(found) if pkg.version.matches_str(&found) => {
+                                results.push(TestResult::pass(version_id, pkg.category))
+                            }
+                            Some(found) => results.push(TestResult::fail(
+                                version_id,
+                                pkg.category,
+                                format!(
+                                    "installed version {found} does not satisfy {}",
+                                    pkg.version
+                                ),
+                            )),
+                            None => results.push(TestResult::fail(
+                                version_id,
+                                pkg.category,
+                                "version report carries no packageVersion".to_string(),
+                            )),
+                        }
+                    }
                 }
             }
-        }
-    }
-
-    // SoftEnv keys.
-    let softenv_report = by_reporter.get("cluster.admin.softenv.db");
-    for key in &agreement.softenv_keys {
-        let id = format!("softenv-{key}");
-        match softenv_report {
-            None => results.push(TestResult::fail(id, Category::Cluster, "no SoftEnv data")),
-            Some(report) => {
-                // `expansion, key=<key>, softenv`, root-first, trimmed alike.
-                let steps = [("softenv", None), ("key", Some(key.trim())), ("expansion", None)];
-                if resolve_steps(report.body.root(), &steps).is_some() {
-                    results.push(TestResult::pass(id, Category::Cluster));
-                } else {
-                    results.push(TestResult::fail(
+            Requirement::UnitTests(pkg) => {
+                let prefix = format!("unit.{}.", pkg.name);
+                for (name, report) in by_reporter.iter().filter(|(n, _)| n.starts_with(&prefix)) {
+                    if report.is_success() {
+                        results.push(TestResult::pass(*name, pkg.category));
+                    } else {
+                        results.push(TestResult::fail(
+                            *name,
+                            pkg.category,
+                            report
+                                .footer
+                                .error_message
+                                .clone()
+                                .unwrap_or_else(|| "unit test failed".into()),
+                        ));
+                    }
+                }
+            }
+            // Default user environment (reported under Cluster on the
+            // pages).
+            Requirement::Environment(vars) => {
+                let env_report = by_reporter.get("user.environment");
+                for var in vars {
+                    let id = format!("env-{}", var.name);
+                    match env_report {
+                        None => {
+                            results.push(TestResult::fail(id, Category::Cluster, "no environment data"))
+                        }
+                        Some(report) => {
+                            // `value, var=<name>, environment`,
+                            // root-first; the name trimmed as the
+                            // written path form trims it.
+                            let steps =
+                                [("environment", None), ("var", Some(var.name.trim())), ("value", None)];
+                            match resolve_steps(report.body.root(), &steps).map(|e| e.text()) {
+                                None => results.push(TestResult::fail(
+                                    id,
+                                    Category::Cluster,
+                                    format!("{} not set in default environment", var.name),
+                                )),
+                                Some(found) => match &var.expected {
+                                    Some(want) if *want != found => results.push(TestResult::fail(
+                                        id,
+                                        Category::Cluster,
+                                        format!("{}={found}, agreement requires {want}", var.name),
+                                    )),
+                                    _ => results.push(TestResult::pass(id, Category::Cluster)),
+                                },
+                            }
+                        }
+                    }
+                }
+            }
+            Requirement::SoftEnv(keys) => {
+                let softenv_report = by_reporter.get("cluster.admin.softenv.db");
+                for key in keys {
+                    let id = format!("softenv-{key}");
+                    match softenv_report {
+                        None => results.push(TestResult::fail(id, Category::Cluster, "no SoftEnv data")),
+                        Some(report) => {
+                            // `expansion, key=<key>, softenv`,
+                            // root-first, trimmed alike.
+                            let steps =
+                                [("softenv", None), ("key", Some(key.trim())), ("expansion", None)];
+                            if resolve_steps(report.body.root(), &steps).is_some() {
+                                results.push(TestResult::pass(id, Category::Cluster));
+                            } else {
+                                results.push(TestResult::fail(
+                                    id,
+                                    Category::Cluster,
+                                    format!("SoftEnv key {key} not defined"),
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+            // Cross-site probes, Grid category.
+            Requirement::Service(svc) => {
+                let id = format!("service-{svc}");
+                match by_reporter.get(format!("grid.services.{svc}.probe").as_str()) {
+                    None => results.push(TestResult::fail(id, Category::Grid, "no probe data")),
+                    Some(report) if report.is_success() => {
+                        results.push(TestResult::pass(id, Category::Grid))
+                    }
+                    Some(report) => results.push(TestResult::fail(
                         id,
-                        Category::Cluster,
-                        format!("SoftEnv key {key} not defined"),
-                    ));
+                        Category::Grid,
+                        report.footer.error_message.clone().unwrap_or_else(|| "probe failed".into()),
+                    )),
                 }
             }
         }
     }
+}
 
-    // Services (cross-site probes, Grid category).
-    for svc in &agreement.services {
-        let id = format!("service-{svc}");
-        match by_reporter.get(format!("grid.services.{svc}.probe").as_str()) {
-            None => results.push(TestResult::fail(id, Category::Grid, "no probe data")),
-            Some(report) if report.is_success() => {
-                results.push(TestResult::pass(id, Category::Grid))
-            }
-            Some(report) => results.push(TestResult::fail(
-                id,
-                Category::Grid,
-                report
-                    .footer
-                    .error_message
-                    .clone()
-                    .unwrap_or_else(|| "probe failed".into()),
-            )),
-        }
+/// Verifies one resource's cached reports against the agreement: every
+/// [`Requirement`] evaluated on [`reports_by_reporter`].
+///
+/// `reports` are the cached `(branch, report)` pairs for this resource
+/// (as returned by the query interface). Owned and shared
+/// (`Arc<Report>`, as the depot's set reads return) reports verify
+/// alike.
+pub fn verify_resource<R: Borrow<Report>>(
+    agreement: &Agreement,
+    reports: &[(BranchId, R)],
+    resource: &str,
+) -> ResourceVerification {
+    let by_reporter = reports_by_reporter(reports);
+    let mut results = Vec::new();
+    for requirement in agreement.requirements() {
+        requirement.evaluate(&by_reporter, &mut results);
     }
-
     ResourceVerification { resource: resource.to_string(), results }
 }
 

@@ -13,7 +13,8 @@
 //! verification consumer runs on a fixed cadence (the paper's status
 //! pages were recomputed every ten minutes) and records availability
 //! percentages into the depot archive — the data behind Figures 4
-//! and 5.
+//! and 5. It keeps a [`ComplianceView`], so a pass reads and verifies
+//! again only what was written since the last one.
 //!
 //! With [`SimOptions::forward_faults`] set, the drain loop rolls the
 //! fault dice per delivery attempt: dropped sends and partitions back
@@ -27,12 +28,14 @@
 
 use std::sync::Arc;
 
-use inca_agreement::{verify_resource, ComplianceSummary};
-use inca_consumer::{build_status_page, AvailabilityTracker, StatusPage};
+use inca_agreement::ComplianceSummary;
+use inca_consumer::{
+    build_status_page, AvailabilityTracker, ComplianceView, PassStats, StatusPage,
+};
 use inca_controller::{DistributedController, Transport};
 use inca_health::{render_health_page, HealthMonitor, SloRule};
 use inca_obs::{Obs, TraceStore, TraceStoreConfig};
-use inca_report::{BranchId, Timestamp};
+use inca_report::Timestamp;
 use inca_server::{
     CacheBackend, CentralizedController, ControllerConfig, DecodedSubmission, Depot,
     MetricsScraper, QueryInterface,
@@ -179,6 +182,10 @@ pub struct SimRun {
     /// submission peer identity and the fault schedule's daemon key.
     hostnames: Vec<String>,
     tracker: AvailabilityTracker,
+    /// The verification consumer's reports and summaries, made by the
+    /// first read of [`SimRun::run`] (never here: wiring stays as cheap
+    /// as it was).
+    view: Option<ComplianceView>,
     monitor: Option<HealthMonitor>,
     /// Durable trace sink, when [`SimOptions::trace_store`] is set.
     trace_store: Option<Arc<TraceStore>>,
@@ -241,6 +248,7 @@ impl SimRun {
             daemons,
             hostnames,
             tracker: AvailabilityTracker::figure5(),
+            view: None,
             monitor,
             trace_store,
             scraper,
@@ -261,33 +269,34 @@ impl SimRun {
         }
     }
 
-    fn verification_pass(&self, t: Timestamp) -> Vec<(String, ComplianceSummary)> {
+    /// Brings the verification consumer's view up to date: it reads
+    /// only the reports written since its last read, and verifies again
+    /// only the resources those touched. The first call makes the view
+    /// and reads everything.
+    fn refresh_view(&mut self) -> PassStats {
         let targets = self.verify_targets();
-        let agreement = &self.deployment.agreement;
-        // One read guard and one query handle for the whole pass.
-        let summaries: Vec<(String, ComplianceSummary)> = self.server.with_depot(|depot| {
-            let query = QueryInterface::new(depot);
-            targets
-                .iter()
-                .map(|(site, host)| {
-                    let suffix: BranchId =
-                        format!("resource={host},site={site},vo={}", agreement.vo)
-                            .parse()
-                            .expect("labels are branch-safe");
-                    let reports = query.reports(Some(&suffix)).unwrap_or_default();
-                    let verification = verify_resource(agreement, &reports, host);
-                    (format!("{site}-{host}"), ComplianceSummary::from_verification(&verification))
-                })
-                .collect()
-        });
+        let view = self
+            .view
+            .get_or_insert_with(|| ComplianceView::new(&self.deployment.agreement, &targets));
+        self.server.with_depot(|depot| view.refresh(&QueryInterface::new(depot)))
+    }
+
+    fn verification_pass(&mut self, t: Timestamp) -> Vec<(String, ComplianceSummary)> {
+        let span = self.server.obs().span("consumer.verify_pass");
+        let stats = self.refresh_view();
+        span.field("changed", stats.changed)
+            .field("parsed", stats.parsed)
+            .field("resources_reverified", stats.resources_reverified)
+            .finish();
+        let view = self.view.as_ref().expect("refresh_view made the view");
         if self.options.track_availability {
             self.server.with_depot_mut(|depot| {
-                for (label, summary) in &summaries {
+                for (label, summary) in view.summaries() {
                     self.tracker.record(depot, label, summary, t);
                 }
             });
         }
-        summaries
+        view.summaries().map(|(label, summary)| (label.to_string(), summary.clone())).collect()
     }
 
     /// Fires every daemon due at `t`, in daemon order. Each daemon is
@@ -426,6 +435,12 @@ impl SimRun {
             daemon.prime(start);
         }
         let verify_every = self.options.verify_every_secs;
+        // The consumer's first read, before any report arrives: from
+        // here on the depot keeps the parse its archive step makes of
+        // each report, and no report is parsed twice.
+        if verify_every.is_some() {
+            self.refresh_view();
+        }
         let mut next_verify = verify_every.map(|v| start + v);
         let health_every = self.options.health_every_secs.max(1);
         let mut next_health = self.monitor.is_some().then(|| start + health_every);

@@ -22,9 +22,27 @@
 //! the cache a depot runs on: it wants to be obviously correct, not
 //! fast.
 
+#[cfg(debug_assertions)]
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use inca_report::cache::{branch_of, element_end, CacheError};
 use inca_report::BranchId;
 use inca_xml::{escape::escape_attr, Token, Tokenizer};
+
+/// Document bytes [`XmlCache`] updates have streamed in this process.
+#[cfg(debug_assertions)]
+static STREAMED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// How many document bytes [`XmlCache`] updates have streamed in this
+/// process: for each report spliced, the old document scanned up to
+/// the splice point plus the new document written out around it.
+/// Debug builds only: Figure 9's checks (`tests/paper_check.rs`) read
+/// it around probe inserts to show by counting that a splice costs the
+/// cache, not the report.
+#[cfg(debug_assertions)]
+pub fn streamed_bytes() -> u64 {
+    STREAMED_BYTES.load(Ordering::Relaxed)
+}
 
 fn corrupt(message: &str) -> CacheError {
     CacheError::Corrupt(message.into())
@@ -252,12 +270,18 @@ impl XmlCache {
 fn spliced(doc: &str, branch: &BranchId, report_xml: &str) -> Result<(String, bool), CacheError> {
     let hierarchy: Vec<(&str, &str)> = branch.hierarchy().collect();
     let mut out = String::with_capacity(doc.len() + report_xml.len() + 128);
-    match find_splice(doc, &hierarchy)? {
+    let splice = find_splice(doc, &hierarchy)?;
+    #[cfg(debug_assertions)]
+    let scanned = match splice {
+        Splice::Replace { end, .. } => end,
+        Splice::Insert { at, .. } => at,
+    };
+    let result = match splice {
         Splice::Replace { start, end } => {
             out.push_str(&doc[..start]);
             out.push_str(report_xml);
             out.push_str(&doc[end..]);
-            Ok((out, false))
+            (out, false)
         }
         Splice::Insert { at, missing_from } => {
             out.push_str(&doc[..at]);
@@ -273,9 +297,12 @@ fn spliced(doc: &str, branch: &BranchId, report_xml: &str) -> Result<(String, bo
                 out.push_str(BRANCH_CLOSE);
             }
             out.push_str(&doc[at..]);
-            Ok((out, true))
+            (out, true)
         }
-    }
+    };
+    #[cfg(debug_assertions)]
+    STREAMED_BYTES.fetch_add((scanned + result.0.len()) as u64, Ordering::Relaxed);
+    Ok(result)
 }
 
 /// Streams to the point where `hierarchy` lives (or should live).

@@ -21,3 +21,5 @@ pub mod depot {
 }
 
 pub use depot::cache::XmlCache;
+#[cfg(debug_assertions)]
+pub use depot::cache::streamed_bytes;

@@ -100,20 +100,23 @@ pub enum CacheBackend {
 }
 
 /// The depot's cache storage: the rope, and the parsed form of the
-/// reports it holds. `insert_batch` is the only way to change which
-/// reports the rope holds (compaction moves bytes, not reports), which
-/// is what lets it keep `parsed` honest.
+/// reports it holds. `insert_batch` and `written` are the only ways to
+/// change which reports the rope holds and what is known parsed of
+/// them (compaction moves bytes, not reports), which is what lets it
+/// keep `parsed` honest.
 #[derive(Debug)]
 struct CacheStore {
     rope: RopeCache,
-    /// What set reads ([`CacheStore::parsed_reports`]) have parsed, so
-    /// a verification pass or a status page parses only the reports
-    /// replaced since the last one. Retention: an entry is made by the
-    /// first set read that reaches a branch and lives until the next
-    /// write to that branch; compaction moves bytes, not reports, and
-    /// never touches it. The cache never drops a branch, so the memo
-    /// holds at most as many reports as the rope, and none at all on a
-    /// depot that serves only point reads and documents
+    /// What set reads ([`CacheStore::parsed_reports`]) and the write
+    /// path have parsed, so a verification pass or a status page parses
+    /// only the reports no one has parsed since they were written.
+    /// Retention: an entry is made by the first set read that reaches a
+    /// branch, or, once a set read has used the memo, by a write whose
+    /// report the archive step parsed; it lives until the next write
+    /// to that branch. Compaction moves bytes, not reports, and never
+    /// touches it. The cache never drops a branch, so the memo holds at
+    /// most as many reports as the rope, and none at all on a depot
+    /// that serves only point reads and documents
     /// (`report`/`current`/`current_all`).
     parsed: ParsedMemo,
 }
@@ -130,42 +133,38 @@ impl CacheStore {
         self.rope.insert_batch(items)
     }
 
-    /// Every report matching `query` (all when `None`), parsed, in
-    /// document order — the one loop behind every set read. A report
-    /// parsed since its branch was last written is shared, not parsed
-    /// again; the flag is `true` when that covered the whole set. One
-    /// unparseable cached report fails the read: the depot does not
-    /// decide for a page which rows it can do without.
+    /// Every report matching `query` (all when `None`) and, with
+    /// `since`, written after that generation, parsed, in document
+    /// order — the one loop behind every set read — with how many of
+    /// them it had to parse. A report parsed since its branch was last
+    /// written is shared, not parsed again. One unparseable cached
+    /// report fails the read: the depot does not decide for a page
+    /// which rows it can do without.
     fn parsed_reports(
         &self,
         query: Option<&BranchId>,
-    ) -> Result<(ParsedReports, bool), CacheError> {
+        since: Option<u64>,
+    ) -> Result<(ParsedReports, usize), CacheError> {
+        self.parsed.mark_used();
         let mut out = Vec::new();
-        let mut all_shared = true;
+        let mut parsed = 0;
         let mut key = String::new();
-        self.rope.visit_reports(query, &mut |path: &[(&str, &str)], xml: &str| {
+        self.rope.visit_reports(query, since, &mut |path: &[(&str, &str)], xml: &str| {
             ParsedMemo::write_key(&mut key, path.iter().copied());
             let report = match self.parsed.get(&key) {
                 Some(report) => report,
                 None => {
-                    all_shared = false;
-                    let parsed = Report::parse(xml).map_err(|e| {
+                    parsed += 1;
+                    let report = Report::parse(xml).map_err(|e| {
                         CacheError::Corrupt(format!("cached report unparseable: {e}"))
                     })?;
-                    // The parser grows its vectors as it goes and the
-                    // tree it leaves is over twice the bytes of an
-                    // exact-capacity one. This one stays until its
-                    // branch is rewritten, so keep a clone: cloning
-                    // allocates every vector and string at its length.
-                    let report = Arc::new(parsed.clone());
-                    self.parsed.put(&key, Arc::clone(&report));
-                    report
+                    self.parsed.put(&key, &report)
                 }
             };
             out.push((branch_of(path)?, report));
             Ok(())
         })?;
-        Ok((out, all_shared))
+        Ok((out, parsed))
     }
 }
 
@@ -193,9 +192,12 @@ impl<'a> CacheRef<'a> {
     }
 
     /// Mutation counter, bumped once per non-empty write batch and
-    /// never by a compaction. Nothing in the depot caches by it; the
-    /// federation keys its merged global document on the partitions'
-    /// generations.
+    /// never by a compaction. Every cache level records the generation
+    /// of the last write below it, so a set read can ask for what was
+    /// written after a generation it saw
+    /// ([`QueryInterface::reports_since`](crate::QueryInterface::reports_since));
+    /// the federation keys its merged global document on the
+    /// partitions' generations.
     pub fn generation(&self) -> u64 {
         self.0.generation()
     }
@@ -409,10 +411,12 @@ impl Depot {
                 if let Some(ctx) = archive_ctx {
                     archive_span = archive_span.trace_ctx(ctx);
                 }
-                if let Ok(report) = Report::parse(&envelope.report_xml) {
-                    let ingested = self.archive.ingest(&envelope.address, &report, now);
+                let parsed = Report::parse(&envelope.report_xml).ok();
+                if let Some(report) = &parsed {
+                    let ingested = self.archive.ingest(&envelope.address, report, now);
                     archive_span.field("series", ingested).finish();
                 }
+                self.cache.parsed.written(&envelope.address, parsed.as_ref());
             }
             let timing = DepotTiming {
                 unpack,
@@ -476,15 +480,16 @@ impl Depot {
         Ok((self.cache.rope.reports(query)?, false))
     }
 
-    /// Every cached report matching `query` (all when `None`), parsed
-    /// and shared, in the order [`Depot::query_reports`] lists the raw
-    /// XML; the flag is `true` when nothing had to be parsed. See
-    /// `CacheStore::parsed_reports`.
+    /// Every cached report matching `query` (all when `None`) and,
+    /// with `since`, written after that generation, parsed and shared,
+    /// in the order [`Depot::query_reports`] lists the raw XML, with
+    /// how many had to be parsed. See `CacheStore::parsed_reports`.
     pub(crate) fn parsed_reports(
         &self,
         query: Option<&BranchId>,
-    ) -> Result<(ParsedReports, bool), CacheError> {
-        self.cache.parsed_reports(query)
+        since: Option<u64>,
+    ) -> Result<(ParsedReports, usize), CacheError> {
+        self.cache.parsed_reports(query, since)
     }
 
     /// The report stored exactly at `branch`, borrowed from the
@@ -851,6 +856,145 @@ mod tests {
             assert!(q.current_all().contains("<incaReport"));
             assert_eq!(depot.cache.parsed.len(), 0);
         }
+    }
+
+    /// A depot with an archive rule every `vo=tg` branch matches, so
+    /// its archive step parses every report it accepts.
+    fn archiving_depot() -> Depot {
+        let mut depot = Depot::with_obs(Obs::new());
+        depot.add_archive_rule(ArchiveRule {
+            name: "v".into(),
+            query: "vo=tg".parse().unwrap(),
+            path: "v".parse().unwrap(),
+            policy: ArchivePolicy::every("p", 86_400),
+            period_secs: 600,
+        });
+        depot
+    }
+
+    fn memo_entry(depot: &Depot, branch: &BranchId) -> Option<Arc<Report>> {
+        let mut key = String::new();
+        ParsedMemo::write_key(&mut key, branch.hierarchy());
+        depot.cache.parsed.get(&key)
+    }
+
+    #[test]
+    fn archive_writes_keep_no_parse_until_a_set_read_uses_the_memo() {
+        let mut depot = archiving_depot();
+        let t = Timestamp::from_secs(1_000);
+        let batch: Vec<Vec<u8>> = (0..5)
+            .map(|i| envelope_bytes(&format!("reporter=r{i},vo=tg"), "1", EnvelopeMode::Binary))
+            .collect();
+        for round in 0..3 {
+            for result in depot.receive_batch(&batch, t) {
+                result.unwrap();
+            }
+            assert_eq!(depot.cache.parsed.len(), 0, "round {round}");
+        }
+        // The first set read parses what is there; from then on the
+        // archive step's parse of each write becomes its entry.
+        let q = crate::query::QueryInterface::new(&depot);
+        assert_eq!(q.reports_since(None, None).unwrap().parsed, 5);
+        let branch: BranchId = "reporter=r7,vo=tg".parse().unwrap();
+        depot
+            .receive(&envelope_bytes(&branch.to_string(), "7", EnvelopeMode::Binary), t)
+            .unwrap();
+        assert_eq!(depot.cache.parsed.len(), 6);
+        let read = crate::query::QueryInterface::new(&depot).reports_since(None, None).unwrap();
+        assert_eq!((read.reports.len(), read.parsed), (6, 0), "the write path parsed it");
+        assert!(Arc::ptr_eq(&read.reports[5].1, &memo_entry(&depot, &branch).unwrap()));
+    }
+
+    #[test]
+    fn a_branch_written_twice_in_one_batch_keeps_the_second_parse() {
+        let mut depot = archiving_depot();
+        let t = Timestamp::from_secs(1_000);
+        let branch = "reporter=r,resource=m,vo=tg";
+        depot.receive(&envelope_bytes(branch, "0", EnvelopeMode::Binary), t).unwrap();
+        crate::query::QueryInterface::new(&depot).reports(None).unwrap();
+        let batch = [
+            envelope_bytes(branch, "first", EnvelopeMode::Binary),
+            envelope_bytes("reporter=other,vo=tg", "x", EnvelopeMode::Binary),
+            envelope_bytes(branch, "second", EnvelopeMode::Binary),
+        ];
+        for result in depot.receive_batch(&batch, t) {
+            result.unwrap();
+        }
+        let held = memo_entry(&depot, &branch.parse().unwrap()).expect("the write kept a parse");
+        let cached = Report::parse(depot.report_exact(&branch.parse().unwrap()).unwrap()).unwrap();
+        assert_eq!(*held, cached);
+        assert_eq!(held.body.lookup_text(&"v".parse().unwrap()).unwrap(), "second");
+    }
+
+    #[test]
+    fn an_unparseable_second_write_fails_the_set_read_as_before() {
+        // `<incaReport><body/></incaReport>` passes the binary path's
+        // structural skim and has no header, so it does not parse.
+        let mut depot = archiving_depot();
+        let t = Timestamp::from_secs(1_000);
+        let branch: BranchId = "reporter=r,resource=m,vo=tg".parse().unwrap();
+        let unparseable = Envelope::new(branch.clone(), "<incaReport><body/></incaReport>")
+            .encode(EnvelopeMode::Binary);
+        depot.receive(&envelope_bytes(&branch.to_string(), "0", EnvelopeMode::Binary), t).unwrap();
+        crate::query::QueryInterface::new(&depot).reports(None).unwrap();
+        let batch = [envelope_bytes(&branch.to_string(), "1", EnvelopeMode::Binary), unparseable];
+        for result in depot.receive_batch(&batch, t) {
+            result.unwrap();
+        }
+        assert!(memo_entry(&depot, &branch).is_none(), "the first write's parse must go");
+        let q = crate::query::QueryInterface::new(&depot);
+        let err = q.reports(Some(&"vo=tg".parse().unwrap())).unwrap_err();
+        assert!(matches!(&err, CacheError::Corrupt(m) if m.contains("unparseable")), "{err}");
+        assert!(q.reports_since(None, Some(0)).is_err());
+        // Rewritten with a good report, the branch reads again.
+        depot.receive(&envelope_bytes(&branch.to_string(), "2", EnvelopeMode::Binary), t).unwrap();
+        assert_eq!(crate::query::QueryInterface::new(&depot).reports(None).unwrap().len(), 1);
+    }
+
+    /// The branches `reports_since(None, since)` lists.
+    fn written_since(depot: &Depot, since: Option<u64>) -> Vec<String> {
+        let read = crate::query::QueryInterface::new(depot).reports_since(None, since).unwrap();
+        assert_eq!(read.generation, depot.cache().generation());
+        read.reports.iter().map(|(branch, _)| branch.to_string()).collect()
+    }
+
+    #[test]
+    fn reports_since_survives_compaction_and_reload() {
+        use crate::depot::rope::COMPACT_MIN_ARENA_BYTES;
+        let mut depot = Depot::with_obs(Obs::new());
+        let t = Timestamp::from_secs(1_000);
+        let ids = ["reporter=a,site=s,vo=tg", "reporter=b,site=s,vo=tg", "site=s,vo=tg"];
+        for id in ids {
+            depot.receive(&envelope_bytes(id, "0", EnvelopeMode::Binary), t).unwrap();
+        }
+        let seen = depot.cache().generation();
+        let big = "x".repeat(2 * COMPACT_MIN_ARENA_BYTES);
+        depot.receive(&envelope_bytes(ids[1], &big, EnvelopeMode::Binary), t).unwrap();
+        depot.receive(&envelope_bytes(ids[1], "small", EnvelopeMode::Binary), t).unwrap();
+        assert_eq!(depot.cache().report_count(), 3);
+        assert_eq!(depot.cache().generation(), seen + 2);
+        assert_eq!(
+            depot.obs().metrics().counter_value("inca_depot_compactions_total", &[]),
+            Some(1),
+            "the second write compacted the arena"
+        );
+        assert_eq!(written_since(&depot, Some(seen)), [ids[1]]);
+        assert_eq!(written_since(&depot, Some(seen + 2)), Vec::<String>::new());
+        depot.receive(&envelope_bytes(ids[2], "1", EnvelopeMode::Binary), t).unwrap();
+        assert_eq!(written_since(&depot, Some(seen)), [ids[2], ids[1]], "cache order");
+        assert_eq!(written_since(&depot, None).len(), 3);
+
+        // A reloaded depot stamps its load at generation 0.
+        let dir = std::env::temp_dir().join(format!("inca-depot-since-{}", std::process::id()));
+        depot.save_to(&dir).unwrap();
+        let mut loaded = Depot::load_from(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(loaded.cache().generation(), 0);
+        assert_eq!(written_since(&loaded, Some(0)), Vec::<String>::new());
+        assert_eq!(written_since(&loaded, None).len(), 3);
+        loaded.receive(&envelope_bytes(ids[0], "2", EnvelopeMode::Binary), t).unwrap();
+        assert_eq!(written_since(&loaded, Some(0)), [ids[0]]);
+        assert_eq!(written_since(&loaded, Some(1)), Vec::<String>::new());
     }
 
     #[test]

@@ -4,10 +4,16 @@
 //! once, and between two such reads only the few whose branches were
 //! written since have changed. [`ParsedMemo`] keeps at most one parsed
 //! [`Report`] per cached branch, so a repeated set read parses only
-//! what changed. It is invalidated by the write path, one branch at a
-//! time: a whole-cache stamp such as the generation counter would
-//! throw away a thousand parsed reports every time one of them is
-//! replaced.
+//! what changed. It is kept by the write path, one branch at a time: a
+//! write forgets its branch's entry, and a write whose report the
+//! depot parsed anyway (for an archive rule) leaves that parse as the
+//! new entry, so the next set read parses nothing the depot already
+//! did. A whole-cache stamp such as the generation counter would throw
+//! away a thousand parsed reports every time one of them is replaced.
+//!
+//! Until a set read has used it, the memo stays empty and the write
+//! path pays one flag check per report: a depot that serves only point
+//! reads and documents keeps no parsed reports.
 //!
 //! It lives *inside* the depot behind its own mutex so it keeps
 //! working under the controller's read lock: many concurrent readers
@@ -15,6 +21,7 @@
 //! or one store, never across a parse or a cache walk.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use inca_report::{BranchId, Report};
@@ -32,6 +39,9 @@ use parking_lot::Mutex;
 #[derive(Debug, Default)]
 pub(crate) struct ParsedMemo {
     entries: Mutex<HashMap<Box<str>, Arc<Report>>>,
+    /// Whether a set read has used the memo; until one has, the write
+    /// path keeps nothing in it.
+    used: AtomicBool,
 }
 
 impl ParsedMemo {
@@ -54,28 +64,55 @@ impl ParsedMemo {
         }
     }
 
+    /// Records that a set read is using the memo: from now on the
+    /// write path keeps the reports it parses.
+    pub(crate) fn mark_used(&self) {
+        self.used.store(true, Ordering::Relaxed);
+    }
+
     /// The parsed report stored under `key`, if any.
     pub(crate) fn get(&self, key: &str) -> Option<Arc<Report>> {
         self.entries.lock().get(key).cloned()
     }
 
-    /// Stores `report` as the parsed form of the branch `key` names.
-    pub(crate) fn put(&self, key: &str, report: Arc<Report>) {
-        self.entries.lock().insert(key.into(), report);
+    /// Stores a copy of `parsed` as the parsed form of the branch `key`
+    /// names, and returns it. The parser grows its vectors as it goes
+    /// and the tree it leaves is over twice the bytes of an
+    /// exact-capacity one; an entry stays until its branch is
+    /// rewritten, so it keeps a clone, which allocates every vector and
+    /// string at its length.
+    pub(crate) fn put(&self, key: &str, parsed: &Report) -> Arc<Report> {
+        let report = Arc::new(parsed.clone());
+        self.entries.lock().insert(key.into(), Arc::clone(&report));
+        report
     }
 
     /// Drops the entry for `branch`, whose cached report is about to
     /// change. Exclusive access (the depot's write guard) needs no
-    /// lock, and a memo no set read ever filled costs one emptiness
-    /// check.
+    /// lock, and a memo no set read has used costs one flag check.
     pub(crate) fn forget(&mut self, branch: &BranchId) {
-        let entries = self.entries.get_mut();
-        if entries.is_empty() {
+        self.written(branch, None);
+    }
+
+    /// After a write to `branch`: keeps `parsed`, the write path's
+    /// parse of the report just written, as the branch's entry, or
+    /// forgets the branch when the write path has no parse of it (the
+    /// report failed to parse, so a set read must fail on it as it
+    /// would have). A memo no set read has used costs one flag check.
+    pub(crate) fn written(&mut self, branch: &BranchId, parsed: Option<&Report>) {
+        if !*self.used.get_mut() {
             return;
         }
         let mut key = String::new();
         ParsedMemo::write_key(&mut key, branch.hierarchy());
-        entries.remove(key.as_str());
+        match parsed {
+            Some(parsed) => {
+                self.put(&key, parsed);
+            }
+            None => {
+                self.entries.get_mut().remove(key.as_str());
+            }
+        }
     }
 
     /// Number of parsed reports held.

@@ -26,13 +26,18 @@
 //!   need shifting, ever.
 //!
 //! An insert is a tree walk plus an arena append: O(report + depth ·
-//! log fanout), independent of cache size. Nothing derived from the
+//! log fanout), independent of cache size. Each level it passes
+//! through records the generation of the write (one `u64` store per
+//! level), so a read can skip every subtree nobody wrote after a given
+//! generation ([`RopeCache::visit_reports`] with `since`). Nothing derived from the
 //! tree is kept beside it: [`RopeCache::document`] renders the
 //! contiguous string from the current spans on every call, one pass
 //! over the live bytes into one exact-capacity allocation, and the
 //! reads render or borrow only what they return.
 
 use std::collections::BTreeMap;
+#[cfg(debug_assertions)]
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use inca_report::cache::{branch_of, element_end, CacheError};
 use inca_report::BranchId;
@@ -59,6 +64,20 @@ pub const COMPACT_GARBAGE_RATIO: f64 = 0.5;
 /// `max(live bytes, COMPACT_MIN_ARENA_BYTES)`, shrinking to 2 × live.
 const SHRINK_FACTOR: usize = 8;
 
+/// Arena bytes [`RopeCache`] inserts have written in this process.
+#[cfg(debug_assertions)]
+static TOUCHED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// How many arena bytes rope inserts have written in this process:
+/// each report's bytes and the open tags of the levels it created, and
+/// nothing of the reports already cached. Debug builds only: Figure
+/// 9's checks (`tests/paper_check.rs`) read it around probe inserts to
+/// show by counting that a rope insert costs its report, not the cache.
+#[cfg(debug_assertions)]
+pub fn touched_bytes() -> u64 {
+    TOUCHED_BYTES.load(Ordering::Relaxed)
+}
+
 /// A byte range into the arena.
 type Span = (usize, usize);
 
@@ -71,6 +90,11 @@ struct Node {
     open: Option<Span>,
     /// Arena range of this level's direct report, if any.
     report: Option<Span>,
+    /// Generation at which `report` was last written.
+    report_written: u64,
+    /// Generation at which a report in this subtree (`report`
+    /// included) was last written.
+    written: u64,
     /// Child levels in canonical `(name, id)` order.
     children: BTreeMap<(String, String), Node>,
 }
@@ -133,7 +157,8 @@ impl RopeCache {
     /// for byte: that one comparison refuses everything the cache never
     /// writes (siblings out of order, a report after its level's child
     /// branches, a report or branch path twice, a self-closing or empty
-    /// `<branch>`). O(document).
+    /// `<branch>`). O(document). Every loaded report is stamped as
+    /// written at generation 0, the rebuilt rope's generation.
     pub fn from_document(doc: String) -> Result<RopeCache, CacheError> {
         let mut rope = RopeCache::new();
         let mut tok = Tokenizer::new(&doc);
@@ -170,9 +195,10 @@ impl RopeCache {
         Ok(rope)
     }
 
-    /// Monotone counter bumped by every successful mutation. Memoized
-    /// query layers compare generations instead of documents to decide
-    /// whether a cached result is still valid.
+    /// Monotone counter bumped by every successful mutation. Every
+    /// level records the generation of the last write below it, so
+    /// [`RopeCache::visit_reports`] can return only what was written
+    /// after a generation a reader saw.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -200,8 +226,8 @@ impl RopeCache {
     /// into the arena once) plus one arena append for the report bytes:
     /// O(report + depth · log fanout), independent of cache size.
     pub fn update(&mut self, branch: &BranchId, report_xml: &str) -> Result<(), CacheError> {
-        self.insert(branch, report_xml);
         self.generation += 1;
+        self.insert(branch, report_xml);
         Ok(())
     }
 
@@ -212,18 +238,24 @@ impl RopeCache {
         if items.is_empty() {
             return Ok(());
         }
+        self.generation += 1;
         for (branch, xml) in items {
             self.insert(branch, xml);
         }
-        self.generation += 1;
         Ok(())
     }
 
+    /// Stores `report_xml` at `branch`, stamping the report and every
+    /// level above it with the current generation.
     fn insert(&mut self, branch: &BranchId, report_xml: &str) {
+        let stamp = self.generation;
         let arena = &mut self.arena;
         let live_bytes = &mut self.live_bytes;
         let live_arena = &mut self.live_arena;
+        #[cfg(debug_assertions)]
+        let arena_before = arena.len();
         let mut node = &mut self.root;
+        node.written = stamp;
         for (name, id) in branch.hierarchy() {
             node = node.children.entry((name.to_string(), id.to_string())).or_insert_with(|| {
                 let start = arena.len();
@@ -236,9 +268,13 @@ impl RopeCache {
                 *live_arena += arena.len() - start;
                 Node { open: Some((start, arena.len())), ..Node::default() }
             });
+            node.written = stamp;
         }
+        node.report_written = stamp;
         let start = arena.len();
         arena.push_str(report_xml);
+        #[cfg(debug_assertions)]
+        TOUCHED_BYTES.fetch_add((arena.len() - arena_before) as u64, Ordering::Relaxed);
         *live_arena += report_xml.len();
         match node.report.replace((start, arena.len())) {
             Some((old_start, old_end)) => {
@@ -377,7 +413,7 @@ impl RopeCache {
     /// `visit_reports` walk with every visit copied out.
     pub fn reports(&self, query: Option<&BranchId>) -> Result<Vec<(BranchId, String)>, CacheError> {
         let mut out = Vec::new();
-        self.visit_reports(query, &mut |path, xml| {
+        self.visit_reports(query, None, &mut |path, xml| {
             out.push((branch_of(path)?, xml.to_string()));
             Ok(())
         })?;
@@ -391,9 +427,14 @@ impl RopeCache {
     /// order falls out of the canonical tree walk: a level's direct
     /// report precedes its children, children visit in `(name, id)`
     /// order. The first error a visit returns ends the walk.
+    ///
+    /// With `since`, only reports written after that generation are
+    /// visited, and a subtree with no such report is skipped whole:
+    /// the walk costs the levels on the way to what changed.
     pub(crate) fn visit_reports<'a, F>(
         &'a self,
         query: Option<&'a BranchId>,
+        since: Option<u64>,
         visit: &mut F,
     ) -> Result<(), CacheError>
     where
@@ -410,24 +451,29 @@ impl RopeCache {
                 }
             }
         };
-        self.visit_node(node, &mut path, visit)
+        self.visit_node(node, since, &mut path, visit)
     }
 
     fn visit_node<'a, F>(
         &'a self,
         node: &'a Node,
+        since: Option<u64>,
         path: &mut Vec<(&'a str, &'a str)>,
         visit: &mut F,
     ) -> Result<(), CacheError>
     where
         F: FnMut(&[(&'a str, &'a str)], &'a str) -> Result<(), CacheError>,
     {
-        if let Some((start, end)) = node.report {
+        let after = |stamp: u64| since.is_none_or(|since| stamp > since);
+        if !after(node.written) {
+            return Ok(());
+        }
+        if let Some((start, end)) = node.report.filter(|_| after(node.report_written)) {
             visit(path, &self.arena[start..end])?;
         }
         for ((name, id), child) in &node.children {
             path.push((name, id));
-            self.visit_node(child, path, visit)?;
+            self.visit_node(child, since, path, visit)?;
             path.pop();
         }
         Ok(())

@@ -59,7 +59,7 @@ pub use federation::{
     rollup_branch, rollup_rule, rollup_series_prefix, routing_key, Federation,
     FederationConfig, PartitionMap,
 };
-pub use query::QueryInterface;
+pub use query::{QueryInterface, ReportsSince};
 pub use reactor::ReactorHandle;
 pub use scrape::{MetricsScraper, SELF_SCRAPE_TIERS, SELF_SERIES_PREFIX};
 pub use temporal::{Incident, IncidentCause, TemporalQuery, WindowAggregate};

@@ -18,6 +18,19 @@ use crate::depot::depot::Depot;
 use crate::depot::rope::RopeCache;
 use crate::temporal::TemporalQuery;
 
+/// What [`QueryInterface::reports_since`] read.
+#[derive(Debug, Clone)]
+pub struct ReportsSince {
+    /// The reports written after the generation asked about, parsed
+    /// and shared, in cache order.
+    pub reports: Vec<(BranchId, Arc<Report>)>,
+    /// The cache generation the read saw.
+    pub generation: u64,
+    /// How many of `reports` the read had to parse; the depot's parsed
+    /// memo shared the rest.
+    pub parsed: usize,
+}
+
 /// Read-side facade over a depot.
 #[derive(Debug)]
 pub struct QueryInterface<'a> {
@@ -140,10 +153,27 @@ impl<'a> QueryInterface<'a> {
         &self,
         query: Option<&BranchId>,
     ) -> Result<Vec<(BranchId, Arc<Report>)>, CacheError> {
+        self.reports_since(query, None).map(|read| read.reports)
+    }
+
+    /// The cached reports matching a suffix query (or every report)
+    /// that were written after generation `since` (every one when
+    /// `None`), parsed and shared as [`QueryInterface::reports`] shares
+    /// them, with the generation the read saw: pass that as `since`
+    /// next time to get exactly what was written in between. The cache
+    /// skips every subtree nobody wrote after `since`, so the read
+    /// costs what changed. It fails as [`QueryInterface::reports`]
+    /// does when a report it reaches cannot be parsed.
+    pub fn reports_since(
+        &self,
+        query: Option<&BranchId>,
+        since: Option<u64>,
+    ) -> Result<ReportsSince, CacheError> {
         let start = std::time::Instant::now();
-        let result = self.depot.parsed_reports(query);
-        self.observe(matches!(result, Ok((_, true))), start.elapsed());
-        result.map(|(reports, _all_shared)| reports)
+        let result = self.depot.parsed_reports(query, since);
+        self.observe(matches!(result, Ok((_, 0))), start.elapsed());
+        let (reports, parsed) = result?;
+        Ok(ReportsSince { reports, generation: self.depot.cache().generation(), parsed })
     }
 
     /// An archived rule-fed series as graph data ("archived data is

@@ -376,7 +376,7 @@ impl<'a> TemporalQuery<'a> {
     ) -> Result<Vec<(BranchId, Arc<Report>)>, CacheError> {
         self.timed(&self.reports_hist, || {
             let Ok(query) = suffix.parse::<BranchId>() else { return Ok(Vec::new()) };
-            Ok(self.depot.parsed_reports(Some(&query))?.0)
+            Ok(self.depot.parsed_reports(Some(&query), None)?.0)
         })
     }
 

@@ -15,6 +15,17 @@
 set -e
 cd "$(dirname "$0")/.."
 
+# The tracked markdown files. Outside a git checkout, or with none
+# listed, the checks below would pass over nothing: fail instead.
+if ! tracked_md=$(git ls-files '*.md'); then
+  echo "docs gate: git ls-files failed; run it from a git checkout" >&2
+  exit 1
+fi
+if [ -z "$tracked_md" ]; then
+  echo "docs gate: git ls-files lists no *.md file" >&2
+  exit 1
+fi
+
 echo "== cargo doc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
@@ -23,7 +34,7 @@ echo "== markdown link check =="
 # files and verify that relative ones resolve on disk (anchors and
 # external URLs are skipped - the build environment is offline).
 fail=0
-for md in $(git ls-files '*.md'); do
+for md in $tracked_md; do
   dir=$(dirname "$md")
   for target in $(grep -o '](\([^)]*\))' "$md" | sed 's/^](//; s/)$//'); do
     case "$target" in
@@ -56,7 +67,7 @@ echo "== bench binaries exist =="
 # flag named on its own in prose (`--bin NAME` right after a backtick)
 # is not a command and is not checked.
 fail=0
-for md in $(git ls-files '*.md' ':!CHANGES.md'); do
+for md in $(printf '%s\n' $tracked_md | grep -vx 'CHANGES.md'); do
   for bin in $(grep -oE '(^|[^`])--bin [a-z0-9_]+' "$md" | awk '{print $2}' | sort -u); do
     if [ ! -f "crates/bench/src/bin/$bin.rs" ]; then
       echo "MISSING BIN: $md runs --bin $bin but crates/bench/src/bin/$bin.rs does not exist"
