@@ -100,10 +100,10 @@ pub enum CacheBackend {
 }
 
 /// The depot's cache storage: the rope, and the parsed form of the
-/// reports it holds. `insert_batch` and `written` are the only ways to
-/// change which reports the rope holds and what is known parsed of
-/// them (compaction moves bytes, not reports), which is what lets it
-/// keep `parsed` honest.
+/// reports it holds. `insert_batch` is the only way to change which
+/// reports the rope holds (compaction moves bytes, not reports), and it
+/// forgets what was parsed of every branch it writes, which is what
+/// lets it keep `parsed` honest.
 #[derive(Debug)]
 struct CacheStore {
     rope: RopeCache,
@@ -128,7 +128,7 @@ impl CacheStore {
 
     fn insert_batch(&mut self, items: &[(&BranchId, &str)]) -> Result<(), CacheError> {
         for (branch, _) in items {
-            self.parsed.forget(branch);
+            self.parsed.written(branch, None);
         }
         self.rope.insert_batch(items)
     }

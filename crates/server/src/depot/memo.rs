@@ -87,18 +87,12 @@ impl ParsedMemo {
         report
     }
 
-    /// Drops the entry for `branch`, whose cached report is about to
-    /// change. Exclusive access (the depot's write guard) needs no
-    /// lock, and a memo no set read has used costs one flag check.
-    pub(crate) fn forget(&mut self, branch: &BranchId) {
-        self.written(branch, None);
-    }
-
     /// After a write to `branch`: keeps `parsed`, the write path's
-    /// parse of the report just written, as the branch's entry, or
-    /// forgets the branch when the write path has no parse of it (the
-    /// report failed to parse, so a set read must fail on it as it
-    /// would have). A memo no set read has used costs one flag check.
+    /// parse of the report written, as the branch's entry, or drops the
+    /// entry when there is no such parse (the write is under way, or its
+    /// report failed to parse and a set read must fail on it as it
+    /// always did). Exclusive access (the depot's write guard) needs no
+    /// lock, and a memo no set read has used costs one flag check.
     pub(crate) fn written(&mut self, branch: &BranchId, parsed: Option<&Report>) {
         if !*self.used.get_mut() {
             return;

@@ -29,7 +29,8 @@
 //! log fanout), independent of cache size. Each level it passes
 //! through records the generation of the write (one `u64` store per
 //! level), so a read can skip every subtree nobody wrote after a given
-//! generation ([`RopeCache::visit_reports`] with `since`). Nothing derived from the
+//! generation (`visit_reports` with `since`, behind
+//! `QueryInterface::reports_since`). Nothing derived from the
 //! tree is kept beside it: [`RopeCache::document`] renders the
 //! contiguous string from the current spans on every call, one pass
 //! over the live bytes into one exact-capacity allocation, and the
@@ -196,9 +197,10 @@ impl RopeCache {
     }
 
     /// Monotone counter bumped by every successful mutation. Every
-    /// level records the generation of the last write below it, so
-    /// [`RopeCache::visit_reports`] can return only what was written
-    /// after a generation a reader saw.
+    /// level records the generation of the last write below it, so a
+    /// set read can return only what was written after a generation a
+    /// reader saw
+    /// ([`QueryInterface::reports_since`](crate::QueryInterface::reports_since)).
     pub fn generation(&self) -> u64 {
         self.generation
     }
